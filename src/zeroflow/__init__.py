@@ -8,7 +8,8 @@ eigenfunction (deg p <= 2, deg q <= 1):
 * damped Newton iteration directly on the electrostatic equilibrium
   equations (``equilibrium``),
 * a spectral oracle: triangular back-substitution for the eigenvector plus
-  real-root isolation (``spectral``).
+  real-root isolation at low degree, the eigenvalues of the three-term
+  recurrence's Jacobi matrix above it (``spectral``).
 
 The routes certify each other; ``cli`` wraps them in a command-line tool.
 """

@@ -33,12 +33,15 @@ class RootCountMismatch(ZeroflowError):
     """Fewer (or more) real roots were isolated than the polynomial degree.
 
     Signals an invalid equation spec (complex roots) or numerical breakdown.
+    ``found`` is None when the spec is refused before any root is isolated.
     """
 
-    def __init__(self, expected: int, found: int, detail: str = ""):
+    def __init__(self, expected: int, found: int | None, detail: str = ""):
         self.expected = expected
         self.found = found
-        msg = f"expected {expected} real roots, isolated {found}"
+        msg = f"expected {expected} real roots"
+        if found is not None:
+            msg += f", isolated {found}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)

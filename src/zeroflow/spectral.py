@@ -7,13 +7,15 @@ refining grid and polished by bisection plus Newton steps.  heat_propagate
 evolves arbitrary polynomial coefficients exactly under exp(t M) through the
 eigenbasis, with no time stepping.
 
-Precision note: monomial coefficients of high-degree polynomials whose roots
-fill an interval are catastrophically ill-conditioned as a root
-representation (root sensitivity grows roughly like 2^n times machine
-epsilon).  Double precision therefore supports the oracle only to small
-degrees; beyond F64_ORACLE_LIMIT, oracle_zeros runs the identical
-back-substitution and bracketing algorithm in software extended precision
-and rounds only the final roots, which are perfectly conditioned as points.
+Two paths, chosen by degree: monomial coefficients of high-degree
+polynomials whose roots fill an interval are catastrophically ill-conditioned
+as a root representation (root sensitivity grows roughly like 2^n times
+machine epsilon).  So oracle_zeros runs back-substitution and bracketing only
+up to F64_ORACLE_LIMIT.  Beyond it the zeros are the eigenvalues of the
+symmetric tridiagonal Jacobi matrix of the eigenpolynomials' three-term
+recurrence, whose coefficients follow from p and q in closed form (Golub &
+Welsch 1969), polished by one Newton step on that recurrence.  Both paths run
+in double precision.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-import mpmath as mp
 import numpy as np
 
 from .equilibrium import Configuration, monic_from_roots
@@ -51,10 +52,11 @@ __all__ = [
     "F64_ORACLE_LIMIT",
 ]
 
-# Largest degree at which the double-precision pipeline still delivers roots
-# below ~2e-11 absolute error for every classical family (measured against
-# extended precision and recurrence-based nodes; the worst case is the
-# Laguerre domain, whose large roots amplify evaluation cancellation).
+# Largest degree of the monomial path (eigen_coefficients + poly_roots); the
+# recurrence path takes every degree above it.  Up to here the monomial path
+# still delivers roots below ~2e-11 absolute error for every classical family
+# (the worst case is the Laguerre domain, whose large roots amplify
+# evaluation cancellation).
 F64_ORACLE_LIMIT = 12
 
 _BISECT_WIDTH = 1e-10
@@ -250,115 +252,99 @@ def poly_roots(coeffs: PolynomialCoefficients, domain: Domain) -> Configuration:
     return Configuration(tuple(roots))
 
 
-def _mp_dps(n: int) -> int:
-    return 30 + int(math.ceil(0.45 * n))
+def _recurrence(spec: EquationSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monic three-term recurrence x y_k = y_(k+1) + b_k y_k + g_k y_(k-1)
+    of the eigenpolynomials, in closed form from p and q.
 
+    Returns b_0..b_(n-1) and g_1..g_(n-1).  With c(s) = q1 - p2 s, so that
+    lambda_m - lambda_j = (m - j) c(m + j + 1):
 
-def _oracle_zeros_mp(spec: EquationSpec, n: int) -> Configuration:
-    """Back-substitution and root bracketing in extended precision.
+        b_k = (p1 (k c(k+1) + (k+1) c(k)) - q0 q1) / (c(2k) c(2k+2))
+        g_k = k c(k) (p0 c(2k)^2 + k p1^2 c(k) + q0 (p2 q0 - p1 q1))
+              / (c(2k)^2 c(2k-1) c(2k+1))
 
-    Same algorithm as eigen_coefficients + poly_roots; only the arithmetic
-    carries enough digits to absorb the monomial-basis conditioning loss
-    (about 0.3 n decimal digits).
+    A simple spectrum up to n keeps c(s) != 0 for 2 <= s <= 2n, so only b_0
+    (c(0), zero when q1 = 0) and g_1 (c(1), zero when q1 = p2) can be 0/0.
+    Those two come from the top coefficients y_k = x^k + a_k x^(k-1) +
+    e_k x^(k-2) + ... instead.  The same differences at every k
+    (b_k = a_k - a_(k+1), g_k = e_k - e_(k+1) - b_k a_k) would cancel at high
+    degree, where a_k and e_k grow like k^2 and k^4.
     """
-    with mp.workdps(_mp_dps(n)):
-        q0, p1, p0 = mp.mpf(spec.q0), mp.mpf(spec.p1), mp.mpf(spec.p0)
-        lam = [mp.mpf(spec.q1) * m - mp.mpf(spec.p2) * m * (m + 1) for m in range(n + 1)]
-        c = [mp.mpf(0)] * (n + 1)
-        c[n] = mp.mpf(1)
-        for j in range(n - 1, -1, -1):
-            s = mp.mpf(0)
-            if j + 1 <= n:
-                s += (j + 1) * (q0 - p1 * (j + 1)) * c[j + 1]
-            if j + 2 <= n:
-                s += -p0 * (j + 2) * (j + 1) * c[j + 2]
-            c[j] = s / (lam[n] - lam[j])
+    p2, p1, p0, q1, q0 = spec.p2, spec.p1, spec.p0, spec.q1, spec.q0
 
-        crev = list(reversed(c))
-        dcrev = [crev[i] * (n - i) for i in range(n)]
+    def c(s):
+        return q1 - p2 * s
 
-        def pv(x):
-            acc = crev[0]
-            for a in crev[1:]:
-                acc = acc * x + a
-            return acc
+    k = np.arange(n, dtype=float)
+    m = k[1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = (p1 * (k * c(k + 1) + (k + 1) * c(k)) - q0 * q1) / (c(2 * k) * c(2 * k + 2))
+        g = (
+            m * c(m) * (p0 * c(2 * m) ** 2 + m * p1 * p1 * c(m) + q0 * (p2 * q0 - p1 * q1))
+            / (c(2 * m) ** 2 * c(2 * m - 1) * c(2 * m + 1))
+        )
+    # a_k = k (q0 - p1 k) / (lambda_k - lambda_(k-1)) and
+    # e_2 = ((q0 - p1) a_2 - 2 p0) / (lambda_2 - lambda_0), from the
+    # operator matrix by back-substitution
+    a1 = (q0 - p1) / c(2)
+    b[0] = -a1
+    if n >= 2:
+        a2 = 2 * (q0 - 2 * p1) / c(4)
+        e2 = ((q0 - p1) * a2 - 2 * p0) / (2 * c(3))
+        g[0] = -e2 - (a1 - a2) * a1
+    return b, g
 
-        def dpv(x):
-            acc = dcrev[0]
-            for a in dcrev[1:]:
-                acc = acc * x + a
-            return acc
 
-        s1 = -c[n - 1]
-        e2 = c[n - 2] if n >= 2 else mp.mpf(0)
-        mean = s1 / n
-        var = max(s1 * s1 - 2 * e2, mp.mpf(0)) / n - mean * mean
-        half = mp.sqrt((n - 1) * max(var, mp.mpf(0))) if n > 1 else mp.mpf(0)
-        lo = float(mean - half)
-        hi = float(mean + half)
-        lo = max(lo, spec.domain.lower)
-        hi = min(hi, spec.domain.upper)
-        if not lo < hi:
-            raise RootCountMismatch(n, 0, "empty bracket interval")
-        lo -= 1e-9 * (1.0 + abs(lo))
-        hi += 1e-9 * (1.0 + abs(hi))
+def _recurrence_zeros(spec: EquationSpec, n: int) -> Configuration:
+    """Zeros as the eigenvalues of the symmetric tridiagonal Jacobi matrix
+    (Golub & Welsch 1969), polished by one Newton step.
 
-        m = max(64, 4 * n)
-        while True:
-            xs = _cos_grid(lo, hi, m)
-            vals = [pv(mp.mpf(float(t))) for t in xs]
-            sgn = [mp.sign(v) for v in vals]
-            exact = [xs[i] for i in range(m + 1) if sgn[i] == 0]
-            brackets = [
-                (xs[i], xs[i + 1])
-                for i in range(m)
-                if sgn[i] != 0 and sgn[i + 1] != 0 and sgn[i] != sgn[i + 1]
-            ]
-            count = len(exact) + len(brackets)
-            if count == n:
-                break
-            if m >= 2**20 or count > n:
-                raise RootCountMismatch(n, int(count), f"grid of {m} cells")
-            m *= 2
+    Favard's theorem ties real, simple zeros to g_k > 0, so a spec that
+    violates it is refused before any eigen-solve.  The Newton step
+    evaluates P_n and P_n' by the orthonormal recurrence; the state
+    (P_(k-1), P_k, P'_(k-1), P'_k) is rescaled by one common factor at every
+    k, which leaves the ratio P_n / P_n' exact and keeps the values inside
+    double range (Hermite at n = 1000 reaches about e^1000).
+    Requires a simple increasing spectrum up to n.
+    """
+    b, g = _recurrence(spec, n)
+    bad = np.flatnonzero(~(g > 0.0))
+    if bad.size:
+        k = int(bad[0]) + 1
+        raise RootCountMismatch(
+            n,
+            None,
+            f"recurrence coefficient g_{k} = {g[k - 1]:.6g} <= 0, so by "
+            "Favard's theorem the eigenpolynomial is not real-rooted",
+        )
+    s = np.sqrt(g)
+    x = np.linalg.eigvalsh(np.diag(b) + np.diag(s, 1) + np.diag(s, -1))
 
-        newton_tol = mp.mpf(10) ** (-(_mp_dps(n) - 6))
-        roots = [float(z) for z in exact]
-        for a, b in brackets:
-            a, b = mp.mpf(float(a)), mp.mpf(float(b))
-            fa = pv(a)
-            for _ in range(14):
-                mid = 0.5 * (a + b)
-                fm = pv(mid)
-                if fm == 0:
-                    a = b = mid
-                    break
-                if mp.sign(fm) == mp.sign(fa):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            x = 0.5 * (a + b)
-            for _ in range(40):
-                f = pv(x)
-                if f == 0:
-                    break
-                dx = f / dpv(x)
-                x = x - dx
-                if abs(dx) <= newton_tol * (1 + abs(x)):
-                    break
-            roots.append(float(x))
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    d_prev, d = np.zeros_like(x), np.zeros_like(x)
+    for j in range(n):
+        # the last step skips the normalisation: P_n / P_n' does not need it
+        up = s[j] if j < n - 1 else 1.0
+        down = s[j - 1] if j > 0 else 0.0
+        p_next = ((x - b[j]) * p - down * p_prev) / up
+        d_next = ((x - b[j]) * d + p - down * d_prev) / up
+        scale = np.abs(p) + np.abs(p_next)
+        p_prev, p = p / scale, p_next / scale
+        d_prev, d = d / scale, d_next / scale
+    x = x - p / d
 
-    roots.sort()
-    if any(b <= a for a, b in zip(roots, roots[1:])):
-        raise RootCountMismatch(n, len(set(roots)), "roots merged")
-    return Configuration(tuple(roots))
+    if np.any(np.diff(x) <= 0.0):
+        raise RootCountMismatch(n, len(np.unique(x)), "roots merged")
+    return Configuration(tuple(x))
 
 
 @lru_cache(maxsize=256)
 def oracle_zeros(spec: EquationSpec, n: int) -> Configuration:
     """Zeros of the degree-n eigenpolynomial, strictly inside the domain.
 
-    Composition of eigen_coefficients and poly_roots, escalating to extended
-    precision beyond degree F64_ORACLE_LIMIT (see module docstring).
+    Composition of eigen_coefficients and poly_roots up to degree
+    F64_ORACLE_LIMIT, the three-term recurrence beyond it (see module
+    docstring).
     """
     if n < 1:
         raise ValueError("oracle_zeros requires n >= 1")
@@ -366,7 +352,7 @@ def oracle_zeros(spec: EquationSpec, n: int) -> Configuration:
     if n <= F64_ORACLE_LIMIT:
         config = poly_roots(eigen_coefficients(spec, n), spec.domain)
     else:
-        config = _oracle_zeros_mp(spec, n)
+        config = _recurrence_zeros(spec, n)
     for r in config.points:
         if not spec.domain.contains(r):
             raise ZeroflowError(

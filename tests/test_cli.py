@@ -81,6 +81,15 @@ class TestSolve:
         )
         assert code == 2
 
+    def test_not_real_rooted_spectral_exit_2(self, capsys):
+        # p = -1, q = x has no real-rooted eigenpolynomials
+        code, _, err = run(
+            capsys, "solve", "--p=-1,0,0", "--q=0,1", "--domain=-inf,inf",
+            "--n", "20", "--method", "spectral",
+        )
+        assert code == 2
+        assert "g_1" in err
+
 
 class TestFlowCommand:
     def test_csv_shape_and_header(self, capsys):

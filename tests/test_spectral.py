@@ -23,7 +23,7 @@ from zeroflow import (
     residual,
 )
 from zeroflow.operator_core import REAL_LINE
-from zeroflow.spectral import F64_ORACLE_LIMIT, _oracle_zeros_mp, eigenbasis_matrix
+from zeroflow.spectral import F64_ORACLE_LIMIT, _recurrence_zeros, eigenbasis_matrix
 from conftest import CLASSICAL_SPECS
 
 LAG = make_classical(ClassicalFamily.laguerre(0.0))
@@ -159,24 +159,39 @@ class TestOracleZeros:
 
     @pytest.mark.parametrize("name,spec", CLASSICAL_SPECS)
     def test_against_scipy_nodes_large(self, name, spec):
-        # extended-precision oracle regime
+        # recurrence oracle regime
         for n in (16, 35, 60, 100):
             got = oracle_zeros(spec, n).as_array()
             ref = scipy_nodes(name, n)
             scale = 1.0 + np.max(np.abs(ref))
             assert np.max(np.abs(got - ref)) < 1e-12 * scale, (name, n)
 
-    def test_f64_and_mp_paths_agree_at_cutoff(self):
+    def test_recurrence_and_monomial_paths_agree_at_cutoff(self):
         for _, spec in CLASSICAL_SPECS[:4]:
             n = F64_ORACLE_LIMIT
             f64 = poly_roots(eigen_coefficients(spec, n), spec.domain).as_array()
-            mp_ = _oracle_zeros_mp(spec, n).as_array()
-            assert np.max(np.abs(f64 - mp_)) < 1e-10 * (1 + np.max(np.abs(mp_)))
+            rec = _recurrence_zeros(spec, n).as_array()
+            assert np.max(np.abs(f64 - rec)) < 1e-10 * (1 + np.max(np.abs(rec)))
+
+    @pytest.mark.parametrize("name,spec", [CLASSICAL_SPECS[0], CLASSICAL_SPECS[2]])
+    def test_against_scipy_nodes_degree_1000(self, name, spec):
+        # the Newton polish rescales its recurrence; unscaled, Hermite
+        # overflows here
+        ref = scipy_nodes(name, 1000)
+        got = oracle_zeros(spec, 1000).as_array()
+        scale = 1.0 + np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) < 1e-12 * scale
+
+    def test_not_real_rooted_refused(self):
+        # p = -1, q = x: the recurrence has g_k = -k, so no zero is real
+        spec = EquationSpec(0.0, 0.0, -1.0, 1.0, 0.0, REAL_LINE)
+        with pytest.raises(RootCountMismatch, match="g_1"):
+            oracle_zeros(spec, 20)
 
     @pytest.mark.parametrize("name,spec", CLASSICAL_SPECS)
     def test_root_count_and_ordering(self, name, spec):
         # root count, strict ordering, and domain membership; degree sampled
-        # up to 200 (extended precision beyond the double-precision regime)
+        # up to 200 (the recurrence oracle beyond the monomial regime)
         for n in (1, 2, 3, 4, 6, 8, 12, 20, 50, 120, 200):
             cfg = oracle_zeros(spec, n)
             pts = cfg.as_array()
