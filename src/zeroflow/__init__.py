@@ -44,7 +44,6 @@ from .flow import (
     convergence_options,
     default_init,
     estimate_rate,
-    flow_rhs,
     integrate,
 )
 from .operator_core import (
@@ -102,7 +101,6 @@ __all__ = [
     "eigenvalue",
     "eigenvalue_gap",
     "estimate_rate",
-    "flow_rhs",
     "heat_propagate",
     "integrate",
     "make_classical",

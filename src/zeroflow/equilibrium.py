@@ -86,21 +86,20 @@ def _require_in_domain(spec: EquationSpec, x: np.ndarray) -> None:
         )
 
 
-def _interaction_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_{k!=i} 2/(x_i-x_k), sum_{k!=i} 2/(x_i-x_k)^2) for each i."""
-    n = x.size
-    if n == 1:
-        return np.zeros(1), np.zeros(1)
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    inv = 1.0 / diff
-    np.fill_diagonal(inv, 0.0)
-    return 2.0 * inv.sum(axis=1), 2.0 * (inv * inv).sum(axis=1)
+def _pair_sums(x: np.ndarray) -> np.ndarray:
+    """S_i = sum_{k!=i} 2/(x_i-x_k) for each i.
+
+    The diagonal of the difference matrix is +inf, whose reciprocal is
+    exactly 0, so no second pass has to clear it.
+    """
+    inv = x[:, None] - x
+    np.fill_diagonal(inv, np.inf)
+    np.reciprocal(inv, out=inv)
+    return 2.0 * inv.sum(axis=1)
 
 
 def _residual_array(spec: EquationSpec, x: np.ndarray) -> np.ndarray:
-    s, _ = _interaction_sums(x)
-    return spec.p(x) * s + spec.dp(x) - spec.q(x)
+    return spec.p(x) * _pair_sums(x) + spec.dp(x) - spec.q(x)
 
 
 def residual(spec: EquationSpec, config: Configuration) -> np.ndarray:
@@ -115,22 +114,21 @@ def residual_jacobian(spec: EquationSpec, config: Configuration) -> np.ndarray:
 
     Diagonal: p'(x_i)*S_i - p(x_i)*T_i + p''(x_i) - q'(x_i) with
     S_i = sum 2/(x_i-x_k) and T_i = sum 2/(x_i-x_k)^2.
-    Off-diagonal (j != i): p(x_i) * 2/(x_i-x_j)^2.
+    Off-diagonal (j != i): 2*p(x_i) / (x_i-x_j)^2.
     """
     x = config.as_array()
     _require_in_domain(spec, x)
     n = x.size
-    s, t = _interaction_sums(x)
-    if n == 1:
-        off = np.zeros((1, 1))
-    else:
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, 1.0)
-        off = spec.p(x)[:, None] * (2.0 / (diff * diff))
-    J = off
-    J[np.arange(n), np.arange(n)] = (
-        spec.dp(x) * s - spec.p(x) * t + spec.ddp() - spec.dq()
-    )
+    # one n x n buffer: 1/(x_i-x_k), then its square, then the Jacobian
+    J = x[:, None] - x
+    np.fill_diagonal(J, np.inf)
+    np.reciprocal(J, out=J)
+    s = 2.0 * J.sum(axis=1)
+    np.square(J, out=J)
+    t = 2.0 * J.sum(axis=1)
+    px = spec.p(x)
+    J *= (2.0 * px)[:, None]
+    J[np.arange(n), np.arange(n)] = spec.dp(x) * s - px * t + spec.ddp() - spec.dq()
     return J
 
 
@@ -275,9 +273,8 @@ def stieltjes_gradient(
     """
     x = config.as_array()
     _check_energy_args(alpha, beta, x)
-    s, _ = _interaction_sums(x)
     return (
-        -0.5 * s
+        -0.5 * _pair_sums(x)
         - 0.5 * (alpha + 1.0) / (x - 1.0)
         - 0.5 * (beta + 1.0) / (x + 1.0)
     )

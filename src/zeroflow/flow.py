@@ -29,7 +29,9 @@ The integrator is an explicit embedded Dormand-Prince 5(4) pair with two
 extra accept/reject guards per step: the particle ordering and domain
 membership must be preserved, and the minimum inter-particle gap may shrink
 by at most 50% in one step.  Steps violating a guard are rejected and
-halved.
+halved.  Ordering is checked at every stage argument; the last stage
+argument is the step's 5th order end point, so that check also covers the
+end point.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import Configuration, _residual_array, residual
+from .equilibrium import Configuration, _residual_array
 from .errors import InsufficientDecay
 from .operator_core import EquationSpec, eigenvalue_gap
 
@@ -51,7 +53,6 @@ __all__ = [
     "Trajectory",
     "RateReport",
     "InitStrategy",
-    "flow_rhs",
     "integrate",
     "estimate_rate",
     "default_init",
@@ -139,12 +140,6 @@ class InitStrategy(str, enum.Enum):
     INDEXED = "indexed"
 
 
-def flow_rhs(spec: EquationSpec, config: Configuration) -> np.ndarray:
-    """Right-hand side of the particle system; equals residual(spec, config)
-    exactly."""
-    return residual(spec, config)
-
-
 # Dormand-Prince 5(4): propagate the 5th order solution, estimate the error
 # against the embedded 4th order one.  FSAL: the last stage at the accepted
 # point is the first stage of the next step.
@@ -167,11 +162,10 @@ _E = _B5 - _B4
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_COLLISION_SCALE = 1e-13
 
 
 def _min_gap(x: np.ndarray) -> float:
-    return float(np.min(np.diff(x))) if x.size > 1 else math.inf
+    return float((x[1:] - x[:-1]).min()) if x.size > 1 else math.inf
 
 
 def integrate(
@@ -191,11 +185,8 @@ def integrate(
         raise ValueError("start configuration must lie inside the open domain")
     n = x.size
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        return _residual_array(spec, y)
-
-    f = rhs(x)
-    snaps = [Snapshot(0.0, Configuration(tuple(x)), float(np.max(np.abs(f))))]
+    f = _residual_array(spec, x)
+    snaps = [Snapshot(0.0, Configuration(tuple(x)), float(np.abs(f).max()))]
     if snaps[0].residual_norm < opts.residual_tol:
         return Trajectory(tuple(snaps), spec, TerminationReason.CONVERGED, 0, 0)
 
@@ -203,12 +194,11 @@ def integrate(
     h = min(opts.initial_step, opts.t_max)
     accepted = rejected = 0
     ks = np.empty((7, n))
+    gap = _min_gap(x)  # of the accepted point
 
     def finish(reason: TerminationReason) -> Trajectory:
         if snaps[-1].t < t:
-            snaps.append(
-                Snapshot(t, Configuration(tuple(x)), float(np.max(np.abs(f))))
-            )
+            snaps.append(Snapshot(t, Configuration(tuple(x)), float(np.abs(f).max())))
         return Trajectory(tuple(snaps), spec, reason, accepted, rejected)
 
     while True:
@@ -216,32 +206,31 @@ def integrate(
             return finish(TerminationReason.MAX_STEPS_EXCEEDED)
         h = min(h, opts.t_max - t)
 
+        # every stage argument must be finite and strictly increasing; the
+        # last one is the 5th order solution, the step's end point
         ks[0] = f
-        broke = False
+        y_new = None
         for i in range(1, 7):
             yi = x + h * (ks[:i].T @ _A[i])
-            if not np.all(np.isfinite(yi)) or (n > 1 and np.any(np.diff(yi) <= 0)):
-                broke = True
+            if not np.isfinite(yi).all() or (yi[1:] <= yi[:-1]).any():
                 break
-            ks[i] = rhs(yi)
-        y_new = yi if not broke else None  # stage 7 argument is the 5th order solution
+            ks[i] = _residual_array(spec, yi)
+        else:
+            y_new = yi
 
+        # y_new is ordered, so its end points decide domain membership
         ordered = (
-            not broke
-            and np.all(np.isfinite(ks))
-            and np.all(y_new > lo)
-            and np.all(y_new < hi)
-            and (n < 2 or np.all(np.diff(y_new) > 0))
+            y_new is not None
+            and np.isfinite(ks).all()
+            and y_new[0] > lo
+            and y_new[-1] < hi
         )
-        gap_ok = True
-        if ordered and n > 1:
-            gap_ok = _min_gap(y_new) >= 0.5 * _min_gap(x)
-
-        if ordered and gap_ok:
+        if ordered:
+            gap_new = _min_gap(y_new)
+        if ordered and gap_new >= 0.5 * gap:
             scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(y_new))
-            err = float(
-                np.sqrt(np.mean(np.square(h * (ks.T @ _E) / scale)))
-            )
+            e = h * (ks.T @ _E) / scale
+            err = math.sqrt(float((e * e).sum()) / n)
         else:
             err = math.inf
 
@@ -255,18 +244,21 @@ def integrate(
             h *= factor
             h_min = 1e-14 * max(1.0, t)
             if h < h_min:
-                if not ordered and not broke and (
-                    np.any(y_new <= lo) or np.any(y_new >= hi)
-                ):
+                if not ordered and y_new is not None and (y_new[0] <= lo or y_new[-1] >= hi):
                     return finish(TerminationReason.LEFT_DOMAIN)
                 return finish(TerminationReason.COLLISION_IMMINENT)
             continue
 
         t += h
         x = y_new
-        f = ks[6]  # FSAL: rhs at the accepted point
+        gap = gap_new
+        # FSAL: the rhs at the accepted point.  f is a view of ks[6], so a
+        # later rejected attempt that runs all six stages overwrites it and
+        # the next attempt starts from the rejected point's slope (see the
+        # FOUND entry on FSAL in CHANGES.md).
+        f = ks[6]
         accepted += 1
-        rnorm = float(np.max(np.abs(f)))
+        rnorm = float(np.abs(f).max())
 
         if rnorm < opts.residual_tol:
             snaps.append(Snapshot(t, Configuration(tuple(x)), rnorm))

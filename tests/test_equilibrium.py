@@ -116,6 +116,24 @@ class TestResidualJacobian:
             scale = np.max(np.abs(J)) + 1.0
             assert np.max(np.abs(J - J_fd)) < 1e-6 * scale, (name, n)
 
+    @pytest.mark.parametrize("name,spec", CLASSICAL_SPECS)
+    def test_matches_two_pass_formula(self, name, spec, rng):
+        # the Jacobian as first written: one difference matrix for the pair
+        # sums S and T, a second one for the off-diagonal p(x_i) * 2/d^2
+        n = 200
+        x = random_config(rng, spec, n, min_gap=1e-3)
+        diff = x[:, None] - x[None, :]
+        np.fill_diagonal(diff, 1.0)
+        inv = 1.0 / diff
+        np.fill_diagonal(inv, 0.0)
+        s, t = 2.0 * inv.sum(axis=1), 2.0 * (inv * inv).sum(axis=1)
+        expect = spec.p(x)[:, None] * (2.0 / (diff * diff))
+        expect[np.arange(n), np.arange(n)] = (
+            spec.dp(x) * s - spec.p(x) * t + spec.ddp() - spec.dq()
+        )
+        J = residual_jacobian(spec, Configuration(tuple(x)))
+        np.testing.assert_allclose(J, expect, rtol=1e-14, atol=0.0)
+
 
 class TestNewtonSolve:
     def test_laguerre3_from_integers(self):
