@@ -7,9 +7,9 @@ eigenfunction (deg p <= 2, deg q <= 1):
   set and which converges at an exponential rate (``flow``),
 * damped Newton iteration directly on the electrostatic equilibrium
   equations (``equilibrium``),
-* a spectral oracle: triangular back-substitution for the eigenvector plus
-  real-root isolation at low degree, the eigenvalues of the three-term
-  recurrence's Jacobi matrix above it (``spectral``).
+* a spectral oracle: one triangular back-substitution for the monomial
+  eigenbasis plus real-root isolation at low degree, the eigenvalues of the
+  three-term recurrence's Jacobi matrix above it (``spectral``).
 
 The routes certify each other; ``cli`` wraps them in a command-line tool.
 """
@@ -48,11 +48,9 @@ from .flow import (
 )
 from .operator_core import (
     ClassicalFamily,
-    DegenerateSpectrum,
     Domain,
     EquationSpec,
     FamilyTag,
-    OperatorMatrix,
     check_simple_spectrum,
     eigenvalue,
     eigenvalue_gap,
@@ -73,7 +71,6 @@ __all__ = [
     "__version__",
     "ClassicalFamily",
     "Configuration",
-    "DegenerateSpectrum",
     "DegenerateSpectrumError",
     "Domain",
     "EquationSpec",
@@ -83,7 +80,6 @@ __all__ = [
     "InitStrategy",
     "InsufficientDecay",
     "MaxIterExceeded",
-    "OperatorMatrix",
     "PointOnBoundary",
     "PolynomialCoefficients",
     "PropagatorOverflow",

@@ -33,7 +33,6 @@ from .flow import (
     default_init,
     estimate_rate,
     integrate,
-    recommended_stride,
 )
 from .operator_core import (
     ClassicalFamily,
@@ -231,10 +230,9 @@ def cmd_flow(args) -> int:
     spec, desc = _build_spec(args)
     n = args.n
     start = default_init(spec, n, args.init, args.seed)
-    stride = args.stride if args.stride else recommended_stride(n)
-    opts = dataclasses.replace(
-        convergence_options(n, args.t_max, args.tol), snapshot_stride=stride
-    )
+    opts = convergence_options(n, args.t_max, args.tol)
+    if args.stride:
+        opts = dataclasses.replace(opts, snapshot_stride=args.stride)
     traj = integrate(spec, start, opts)
     lines = ["t," + ",".join(f"x{i}" for i in range(1, n + 1))]
     for snap in traj.snapshots:

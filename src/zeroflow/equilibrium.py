@@ -18,7 +18,7 @@ so equilibria of R coincide with stationary points of E.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,10 +57,6 @@ class Configuration:
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("configuration points must be strictly increasing")
         object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def of(cls, xs: Iterable[float]) -> "Configuration":
-        return cls(tuple(xs))
 
     @property
     def n(self) -> int:
@@ -215,9 +211,7 @@ def verify_theorem1(
     c = monic_from_roots(x)
     M = operator_matrix(spec, n)
     lam = eigenvalue(spec, n)
-    defect = float(
-        np.linalg.norm(M.entries @ c - lam * c) / np.linalg.norm(c)
-    )
+    defect = float(np.linalg.norm(M @ c - lam * c) / np.linalg.norm(c))
     rnorm = float(np.max(np.abs(_residual_array(spec, x))))
     return EquilibriumReport(
         residual_norm=rnorm,

@@ -56,7 +56,6 @@ __all__ = [
     "integrate",
     "estimate_rate",
     "default_init",
-    "recommended_stride",
     "convergence_options",
 ]
 
@@ -319,11 +318,6 @@ def estimate_rate(traj: Trajectory, reference: Configuration) -> RateReport:
     )
 
 
-def recommended_stride(n: int) -> int:
-    """Every accepted step for small systems, every 10th for larger ones."""
-    return 1 if n <= 10 else 10
-
-
 def convergence_options(
     n: int, t_max: float, residual_tol: float = 1e-9
 ) -> FlowOptions:
@@ -331,12 +325,13 @@ def convergence_options(
 
     The numeric flow cannot settle below the per-step error tolerance, so
     the step-control tolerances are tied two orders of magnitude below the
-    termination tolerance (never looser than the defaults).
+    termination tolerance (never looser than the defaults).  Snapshots keep
+    every accepted step for small systems and every 10th for larger ones.
     """
     return FlowOptions(
         t_max=t_max,
         residual_tol=residual_tol,
-        snapshot_stride=recommended_stride(n),
+        snapshot_stride=1 if n <= 10 else 10,
         rel_tol=min(1e-8, max(1e-13, 1e-2 * residual_tol)),
         abs_tol=min(1e-10, max(1e-15, 1e-3 * residual_tol)),
     )

@@ -6,12 +6,15 @@ Everything here concerns the differential operator
 
 with deg p <= 2 and deg q <= 1.  On the space of polynomials of degree at
 most n the operator acts as an (n+1) x (n+1) upper triangular matrix in the
-monomial basis; its diagonal carries the eigenvalues
+monomial basis, a read-only ndarray with two bands above the diagonal; its
+diagonal carries the eigenvalues
 
     lambda_m = q1 * m - p2 * m * (m + 1).
 
 Signs are normalized so that lambda_n > 0 for n >= 1 for every classical
 family and the classical orthogonal polynomials are eigenfunctions.
+check_simple_spectrum returns the DegenerateSpectrumError that names the
+first pair of eigenvalues that fails to increase, or None.
 """
 
 from __future__ import annotations
@@ -22,13 +25,13 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import DegenerateSpectrumError
+
 __all__ = [
     "Domain",
     "FamilyTag",
     "ClassicalFamily",
     "EquationSpec",
-    "OperatorMatrix",
-    "DegenerateSpectrum",
     "make_classical",
     "eigenvalue",
     "eigenvalue_gap",
@@ -189,30 +192,6 @@ class EquationSpec:
         return self.q1
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Dense (n+1) x (n+1) matrix of L acting on ascending monomial
-    coefficients.  Upper triangular with bandwidth 2 above the diagonal:
-    entries[j][m] == 0 unless m - 2 <= j <= m.
-    """
-
-    n: int
-    entries: np.ndarray
-
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.entries @ np.asarray(coeffs, dtype=float)
-
-
-@dataclass(frozen=True)
-class DegenerateSpectrum:
-    """Witness of a non-simple or non-increasing eigenvalue pair."""
-
-    j: int
-    k: int
-    lambda_j: float
-    lambda_k: float
-
-
 def make_classical(family: ClassicalFamily) -> EquationSpec:
     """Canonical equation spec for a classical family.
 
@@ -268,18 +247,20 @@ def eigenvalue_gap(spec: EquationSpec, n: int) -> float:
     return eigenvalue(spec, n) - eigenvalue(spec, n - 1)
 
 
-def operator_matrix(spec: EquationSpec, n: int) -> OperatorMatrix:
-    """Matrix of L on polynomials of degree <= n, ascending monomial basis.
+def operator_matrix(spec: EquationSpec, n: int) -> np.ndarray:
+    """Read-only (n+1) x (n+1) matrix of L on polynomials of degree <= n,
+    ascending monomial basis.
 
-    Column m holds the coefficients of L x^m:
+    Upper triangular with bandwidth 2 above the diagonal: M[j][m] == 0
+    unless m - 2 <= j <= m.  Column m holds the coefficients of L x^m:
 
         L x^m = -p * m(m-1) x^{m-2} + (q - p') * m x^{m-1}
 
     which expands to
 
-        entries[m][m]   = q1*m - p2*m*(m+1)
-        entries[m-1][m] = m*(q0 - p1*m)
-        entries[m-2][m] = -p0*m*(m-1)
+        M[m][m]   = q1*m - p2*m*(m+1)
+        M[m-1][m] = m*(q0 - p1*m)
+        M[m-2][m] = -p0*m*(m-1)
 
     The identity with symbolic differentiation is property-tested.
     """
@@ -293,12 +274,15 @@ def operator_matrix(spec: EquationSpec, n: int) -> OperatorMatrix:
         if m >= 2:
             M[m - 2, m] = -spec.p0 * m * (m - 1)
     M.flags.writeable = False
-    return OperatorMatrix(n=n, entries=M)
+    return M
 
 
-def check_simple_spectrum(spec: EquationSpec, n: int) -> DegenerateSpectrum | None:
+def check_simple_spectrum(
+    spec: EquationSpec, n: int
+) -> DegenerateSpectrumError | None:
     """None iff lambda_0 .. lambda_n are strictly increasing (hence pairwise
-    distinct); otherwise the first consecutive offending pair.
+    distinct); otherwise the error naming the first consecutive offending
+    pair, for the caller to raise.
 
     Since lambda_k is quadratic in k, strict increase of consecutive values
     is equivalent to the full pairwise condition.
@@ -307,6 +291,6 @@ def check_simple_spectrum(spec: EquationSpec, n: int) -> DegenerateSpectrum | No
     for k in range(1, n + 1):
         lam_k = eigenvalue(spec, k)
         if not lam_k > lam_prev:
-            return DegenerateSpectrum(k - 1, k, lam_prev, lam_k)
+            return DegenerateSpectrumError(k - 1, k, lam_prev, lam_k)
         lam_prev = lam_k
     return None

@@ -1,10 +1,11 @@
 """Independent spectral route to eigenpolynomial zeros.
 
 Because the operator matrix is upper triangular with the eigenvalues on the
-diagonal, the monic eigenvector for lambda_n follows from plain
-back-substitution; its real roots are then isolated by sign changes on a
-refining grid and polished by bisection plus Newton steps.  heat_propagate
-evolves arbitrary polynomial coefficients exactly under exp(t M) through the
+diagonal, the monic eigenvectors for lambda_0 .. lambda_n follow from one
+back-substitution (eigenbasis_matrix); eigen_coefficients takes the last
+column, whose real roots are then isolated by sign changes on a refining
+grid and polished by bisection plus Newton steps.  heat_propagate evolves
+arbitrary polynomial coefficients exactly under exp(t M) through the same
 eigenbasis, with no time stepping.
 
 Two paths, chosen by degree: monomial coefficients of high-degree
@@ -28,12 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .equilibrium import Configuration, monic_from_roots
-from .errors import (
-    DegenerateSpectrumError,
-    PropagatorOverflow,
-    RootCountMismatch,
-    ZeroflowError,
-)
+from .errors import PropagatorOverflow, RootCountMismatch, ZeroflowError
 from .operator_core import (
     Domain,
     EquationSpec,
@@ -84,10 +80,6 @@ class PolynomialCoefficients:
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
-    def of(cls, cs: Iterable[float]) -> "PolynomialCoefficients":
-        return cls(tuple(cs))
-
-    @classmethod
     def from_roots(cls, roots: Iterable[float]) -> "PolynomialCoefficients":
         return cls(tuple(monic_from_roots(tuple(roots))))
 
@@ -95,49 +87,48 @@ class PolynomialCoefficients:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_monic(self) -> bool:
-        return self.coeffs[-1] == 1.0
-
     def as_array(self) -> np.ndarray:
         return np.array(self.coeffs, dtype=float)
-
-    def __call__(self, x):
-        """Horner evaluation; accepts scalars or arrays."""
-        c = self.coeffs
-        acc = np.full_like(np.asarray(x, dtype=float), c[-1])
-        for a in reversed(c[:-1]):
-            acc = acc * x + a
-        return acc
 
 
 def _require_simple(spec: EquationSpec, n: int) -> None:
     defect = check_simple_spectrum(spec, n)
     if defect is not None:
-        raise DegenerateSpectrumError(
-            defect.j, defect.k, defect.lambda_j, defect.lambda_k
-        )
+        raise defect
+
+
+def eigenbasis_matrix(spec: EquationSpec, n: int) -> np.ndarray:
+    """Unit upper triangular matrix whose column k holds the monic degree-k
+    eigenpolynomial's coefficients (ascending, zero padded), k = 0 .. n.
+
+    With M upper triangular and two bands above the diagonal, set the
+    diagonal to 1 and solve upward, one row for every column at once:
+
+        Y[j][k] = (M[j][j+1] Y[j+1][k] + M[j][j+2] Y[j+2][k])
+                  / (lambda_k - lambda_j),    k > j
+
+    Each entry depends on k and on rows below j only, so column k does not
+    depend on n.  Requires a simple increasing spectrum up to n.
+    """
+    _require_simple(spec, n)
+    M = operator_matrix(spec, n)
+    lam = np.diag(M)
+    Y = np.eye(n + 1)
+    for j in range(n - 1, -1, -1):
+        row = M[j, j + 1] * Y[j + 1, j + 1 :]
+        if j + 2 <= n:
+            row += M[j, j + 2] * Y[j + 2, j + 1 :]
+        Y[j, j + 1 :] = row / (lam[j + 1 :] - lam[j])
+    return Y
 
 
 def eigen_coefficients(spec: EquationSpec, n: int) -> PolynomialCoefficients:
-    """Monic eigenvector of the operator matrix for lambda_n.
-
-    With M upper triangular, set c_n = 1 and solve upward:
-
-        c_j = sum_{m > j} M[j][m] c_m / (lambda_n - lambda_j)
+    """Monic eigenvector of the operator matrix for lambda_n: the last
+    column of eigenbasis_matrix(spec, n).
 
     Requires a simple increasing spectrum up to n.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    _require_simple(spec, n)
-    M = operator_matrix(spec, n).entries
-    lam_n = eigenvalue(spec, n)
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    for j in range(n - 1, -1, -1):
-        c[j] = (M[j, j + 1 :] @ c[j + 1 :]) / (lam_n - M[j, j])
-    return PolynomialCoefficients(tuple(c))
+    return PolynomialCoefficients(tuple(eigenbasis_matrix(spec, n)[:, n]))
 
 
 def _samuelson_interval(c: np.ndarray) -> tuple[float, float]:
@@ -360,16 +351,6 @@ def oracle_zeros(spec: EquationSpec, n: int) -> Configuration:
                 f"({spec.domain.lower:g}, {spec.domain.upper:g})"
             )
     return config
-
-
-def eigenbasis_matrix(spec: EquationSpec, n: int) -> np.ndarray:
-    """Unit upper triangular matrix whose column k holds the monic degree-k
-    eigenpolynomial's coefficients (ascending, zero padded)."""
-    _require_simple(spec, n)
-    Y = np.zeros((n + 1, n + 1))
-    for k in range(n + 1):
-        Y[: k + 1, k] = eigen_coefficients(spec, k).as_array()
-    return Y
 
 
 _EXP_CAP = 700.0

@@ -375,7 +375,7 @@ def test_criterion_9_property_suite(tmp_path):
     for name, spec in CLASSICAL_SPECS:
         for n in range(0, 51):
             c = eigen_coefficients(spec, n).as_array()
-            M = operator_matrix(spec, n).entries
+            M = operator_matrix(spec, n)
             defect = float(
                 np.linalg.norm(M @ c - eigenvalue(spec, n) * c) / np.linalg.norm(c)
             )

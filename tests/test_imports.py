@@ -19,3 +19,12 @@ def test_import_loads_neither_scipy_nor_mpmath():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its definition is gone breaks star imports
+    missing = [name for name in zeroflow.__all__ if not hasattr(zeroflow, name)]
+    assert missing == []
+    namespace = {}
+    exec("from zeroflow import *", namespace)
+    assert set(zeroflow.__all__) <= set(namespace)

@@ -82,7 +82,7 @@ class TestEigenCoefficients:
     def test_eigen_defect_below_1e12(self, name, spec):
         for n in range(0, 51):
             c = eigen_coefficients(spec, n).as_array()
-            M = operator_matrix(spec, n).entries
+            M = operator_matrix(spec, n)
             defect = np.linalg.norm(M @ c - eigenvalue(spec, n) * c) / np.linalg.norm(c)
             assert defect < 1e-12, (name, n, defect)
 
@@ -243,7 +243,7 @@ class TestHeatPropagate:
         c = PolynomialCoefficients((-2.0, 1.0, 1.0))
         t = 0.05
         out = heat_propagate(HER, c, t)
-        M = operator_matrix(HER, 2).entries
+        M = operator_matrix(HER, 2)
         expected = scipy.linalg.expm(t * M) @ c.as_array()
         np.testing.assert_allclose(out.as_array(), expected, rtol=1e-12, atol=1e-14)
 
@@ -255,7 +255,7 @@ class TestHeatPropagate:
             c[-1] = c[-1] if abs(c[-1]) > 0.1 else 1.0
             t = float(rng.uniform(0.0, 0.2))
             out = heat_propagate(spec, PolynomialCoefficients(tuple(c)), t)
-            M = operator_matrix(spec, n).entries
+            M = operator_matrix(spec, n)
             expected = scipy.linalg.expm(t * M) @ c
             np.testing.assert_allclose(out.as_array(), expected, rtol=1e-9, atol=1e-11)
 
@@ -300,3 +300,28 @@ class TestEigenbasis:
         Y = eigenbasis_matrix(LEG, 8)
         np.testing.assert_allclose(np.diag(Y), np.ones(9))
         assert np.all(np.tril(Y, -1) == 0.0)
+
+    @pytest.mark.parametrize("name,spec", CLASSICAL_SPECS)
+    def test_columns_equal_eigen_coefficients(self, name, spec):
+        n = 50
+        Y = eigenbasis_matrix(spec, n)
+        for k in range(n + 1):
+            c = eigen_coefficients(spec, k).as_array()
+            np.testing.assert_array_equal(Y[: k + 1, k], c, err_msg=f"{name}, k={k}")
+            assert np.all(Y[k + 1 :, k] == 0.0), (name, k)
+
+    @pytest.mark.parametrize("name,spec", CLASSICAL_SPECS)
+    def test_matches_per_column_back_substitution(self, name, spec):
+        # reference: each column solved on its own, c_k = 1 and
+        # c_j = sum_{m > j} M[j][m] c_m / (lambda_k - lambda_j)
+        n = 50
+        Y = eigenbasis_matrix(spec, n)
+        M = operator_matrix(spec, n)
+        for k in range(n + 1):
+            lam_k = eigenvalue(spec, k)
+            c = np.zeros(k + 1)
+            c[k] = 1.0
+            for j in range(k - 1, -1, -1):
+                c[j] = (M[j, j + 1 : k + 1] @ c[j + 1 :]) / (lam_k - M[j, j])
+            err = np.linalg.norm(Y[: k + 1, k] - c) / np.linalg.norm(c)
+            assert err <= 1e-14, (name, k, err)
