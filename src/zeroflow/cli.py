@@ -1,7 +1,12 @@
 """Command-line front end: solve, flow, verify, rate, and bench.
 
 Exit codes: 0 success, 1 usage or malformed input, 2 numerical failure,
-3 verification rejected (not an equilibrium).  Numbers are serialized with
+3 verification rejected (not an equilibrium).  Every numerical failure,
+including a flow that stops early in solve or rate, prints "error: ..."
+and exits 2; flow writes its CSV and exits 0 when it reaches --t-max.
+rate uses solve --method flow's step tolerances and records every step.
+bench times one cold call per route: a smoke table, not a measurement
+(bench/ and scripts/bench_pair.py measure).  Numbers are serialized with
 17 significant digits so results round-trip exactly; identical arguments
 and seeds produce byte-identical output apart from the manifest timestamp.
 The ZEROFLOW_LOG environment variable sets the log level.
@@ -17,7 +22,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,9 +30,9 @@ from . import __version__
 from .equilibrium import Configuration, newton_solve, residual, verify_theorem1
 from .errors import ZeroflowError
 from .flow import (
-    FlowOptions,
     InitStrategy,
     TerminationReason,
+    Trajectory,
     convergence_options,
     default_init,
     estimate_rate,
@@ -54,22 +58,6 @@ _NOT_EQUILIBRIUM_EXIT = 3
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run bit-for-bit with the same build."""
-
-    spec: dict
-    n: int
-    method: str
-    options: dict
-    seed: int | None
-    version: str
-    timestamp: str
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,24 +117,9 @@ def _build_spec(args) -> tuple[EquationSpec, dict]:
     if args.family:
         if args.domain:
             raise ValueError("--domain cannot override a classical family")
-        tag = FamilyTag(args.family)
-        if tag is FamilyTag.JACOBI:
-            if args.alpha is None or args.beta is None:
-                raise ValueError("jacobi requires --alpha and --beta")
-            fam = ClassicalFamily.jacobi(args.alpha, args.beta)
-        elif tag is FamilyTag.LAGUERRE:
-            fam = ClassicalFamily.laguerre(
-                0.0 if args.alpha is None else args.alpha
-            )
-        else:
-            if args.alpha is not None or args.beta is not None:
-                raise ValueError(f"{tag.value} takes no parameters")
-            fam = ClassicalFamily(tag)
-        desc: dict = {"family": tag.value}
-        if fam.alpha is not None:
-            desc["alpha"] = fam.alpha
-        if fam.beta is not None:
-            desc["beta"] = fam.beta
+        fam = ClassicalFamily(FamilyTag(args.family), args.alpha, args.beta)
+        desc = {"family": fam.tag.value, "alpha": fam.alpha, "beta": fam.beta}
+        desc = {k: v for k, v in desc.items() if v is not None}
         return make_classical(fam), desc
     if not args.p or not args.q:
         raise ValueError("need --family, or both --p and --q")
@@ -170,16 +143,17 @@ def _build_spec(args) -> tuple[EquationSpec, dict]:
     return spec, desc
 
 
-def _manifest(spec_desc, n, method, options, seed) -> RunManifest:
-    return RunManifest(
-        spec=spec_desc,
-        n=n,
-        method=method,
-        options=options,
-        seed=seed,
-        version=__version__,
-        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    )
+def _manifest(spec_desc, n, method, options, seed) -> dict:
+    """Everything needed to reproduce a run bit-for-bit with the same build."""
+    return {
+        "spec": spec_desc,
+        "n": n,
+        "method": method,
+        "options": options,
+        "seed": seed,
+        "version": __version__,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+    }
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -190,48 +164,58 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _solve_json(zeros, lam, rnorm, manifest) -> str:
-    payload = {
-        "zeros": [float(z) for z in zeros],
-        "lambda": float(lam),
-        "residual_norm": float(rnorm),
-        "manifest": manifest.to_dict(),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit_json(payload: dict, output: str | None) -> None:
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", output)
+
+
+def _converged(traj: Trajectory) -> Trajectory:
+    if traj.terminated_by is not TerminationReason.CONVERGED:
+        raise ZeroflowError(f"flow terminated by {traj.terminated_by.value}")
+    return traj
+
+
+def _run(spec, n, method, tol, t_max, max_iter, init, seed) -> Configuration:
+    """Zeros of the degree-n eigenpolynomial by one route; only the
+    iterative routes build a start, default_init(spec, n, init, seed)."""
+    if method == "spectral":
+        return oracle_zeros(spec, n)
+    start = default_init(spec, n, init, seed)
+    if method == "newton":
+        return newton_solve(spec, start, tol=tol, max_iter=max_iter)
+    if method == "flow":
+        opts = convergence_options(n, t_max, tol)
+        return _converged(integrate(spec, start, opts)).final.config
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _max_residual(spec: EquationSpec, config: Configuration) -> float:
+    return float(np.max(np.abs(residual(spec, config))))
 
 
 def cmd_solve(args) -> int:
     spec, desc = _build_spec(args)
     n = args.n
-    seed = args.seed
-    opts_desc = {"tol": args.tol, "t_max": args.t_max, "init": args.init}
-    if args.method == "spectral":
-        config = oracle_zeros(spec, n)
-    elif args.method == "newton":
-        start = default_init(spec, n, args.init, seed)
-        config = newton_solve(spec, start, tol=args.tol, max_iter=args.max_iter)
-    else:
-        start = default_init(spec, n, args.init, seed)
-        traj = integrate(spec, start, convergence_options(n, args.t_max, args.tol))
-        if traj.terminated_by is not TerminationReason.CONVERGED:
-            log.error("flow terminated by %s", traj.terminated_by.value)
-            return _NUMERIC_EXIT
-        config = traj.final.config
-    rnorm = float(np.max(np.abs(residual(spec, config))))
-    manifest = _manifest(desc, n, args.method, opts_desc, seed)
-    _emit(
-        _solve_json(config.points, eigenvalue(spec, n), rnorm, manifest),
-        args.output,
+    config = _run(
+        spec, n, args.method, args.tol, args.t_max, args.max_iter,
+        args.init, args.seed,
     )
+    opts_desc = {"tol": args.tol, "t_max": args.t_max, "init": args.init}
+    payload = {
+        "zeros": [float(z) for z in config.points],
+        "lambda": float(eigenvalue(spec, n)),
+        "residual_norm": _max_residual(spec, config),
+        "manifest": _manifest(desc, n, args.method, opts_desc, args.seed),
+    }
+    _emit_json(payload, args.output)
     return 0
 
 
 def cmd_flow(args) -> int:
-    spec, desc = _build_spec(args)
+    spec, _ = _build_spec(args)
     n = args.n
     start = default_init(spec, n, args.init, args.seed)
     opts = convergence_options(n, args.t_max, args.tol)
-    if args.stride:
+    if args.stride is not None:
         opts = dataclasses.replace(opts, snapshot_stride=args.stride)
     traj = integrate(spec, start, opts)
     lines = ["t," + ",".join(f"x{i}" for i in range(1, n + 1))]
@@ -240,9 +224,9 @@ def cmd_flow(args) -> int:
             ",".join([_fmt(snap.t)] + [_fmt(x) for x in snap.config.points])
         )
     _emit("\n".join(lines) + "\n", args.output)
+    # reaching --t-max completes the requested trajectory
     if traj.terminated_by.is_error:
-        log.error("flow terminated by %s", traj.terminated_by.value)
-        return _NUMERIC_EXIT
+        raise ZeroflowError(f"flow terminated by {traj.terminated_by.value}")
     return 0
 
 
@@ -269,34 +253,25 @@ def cmd_rate(args) -> int:
     n = args.n
     gap = eigenvalue_gap(spec, n)
     if gap <= 0:
-        log.error("nonpositive eigenvalue gap; no rate claim for this spec")
-        return _NUMERIC_EXIT
+        raise ZeroflowError(
+            "nonpositive eigenvalue gap; no rate claim for this spec"
+        )
     t_max = args.t_max if args.t_max else min(200.0, max(5.0, 40.0 / gap))
     start = default_init(spec, n, args.init, args.seed)
-    opts = FlowOptions(
-        t_max=t_max,
-        residual_tol=args.tol,
-        snapshot_stride=1,
-        rel_tol=1e-11,
-        abs_tol=1e-13,
+    opts = dataclasses.replace(
+        convergence_options(n, t_max, args.tol), snapshot_stride=1
     )
-    traj = integrate(spec, start, opts)
-    if traj.terminated_by is not TerminationReason.CONVERGED:
-        log.error("flow terminated by %s", traj.terminated_by.value)
-        return _NUMERIC_EXIT
+    traj = _converged(integrate(spec, start, opts))
     report = estimate_rate(traj, oracle_zeros(spec, n))
-    manifest = _manifest(
-        desc, n, "rate", {"t_max": t_max, "tol": args.tol, "init": args.init},
-        args.seed,
-    )
+    opts_desc = {"t_max": t_max, "tol": args.tol, "init": args.init}
     payload = {
         "sigma_hat": report.sigma_hat,
         "theoretical_gap": report.theoretical_gap,
         "fit_window": list(report.fit_window),
         "fit_quality": report.fit_quality,
-        "manifest": manifest.to_dict(),
+        "manifest": _manifest(desc, n, "rate", opts_desc, args.seed),
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+    _emit_json(payload, args.output)
     return 0
 
 
@@ -307,32 +282,23 @@ def cmd_bench(args) -> int:
     rows = ["n,method,wall_time_seconds,final_residual,agreement_vs_spectral"]
     for n in n_list:
         reference = oracle_zeros(spec, n).as_array()
+        t_max = 10.0 + 50.0 / max(eigenvalue_gap(spec, n), 1e-6)
         for method in methods:
+            tol = 1e-9 if method == "flow" else 1e-10
+            oracle_zeros.cache_clear()
             t0 = time.perf_counter()
-            config = None
             try:
-                if method == "spectral":
-                    oracle_zeros.cache_clear()
-                    config = oracle_zeros(spec, n)
-                elif method == "newton":
-                    config = newton_solve(
-                        spec, default_init(spec, n), tol=1e-10, max_iter=200
-                    )
-                elif method == "flow":
-                    gap = max(eigenvalue_gap(spec, n), 1e-6)
-                    opts = convergence_options(n, 10.0 + 50.0 / gap, 1e-9)
-                    traj = integrate(spec, default_init(spec, n), opts)
-                    if traj.terminated_by is TerminationReason.CONVERGED:
-                        config = traj.final.config
-                else:
-                    raise ValueError(f"unknown method {method!r}")
+                config = _run(
+                    spec, n, method, tol, t_max, 200, "equispaced", None
+                )
             except ZeroflowError as exc:
                 log.warning("bench %s n=%d failed: %s", method, n, exc)
+                config = None
             wall = time.perf_counter() - t0
             if config is None:
                 rows.append(f"{n},{method},{_fmt(wall)},nan,nan")
                 continue
-            rnorm = float(np.max(np.abs(residual(spec, config))))
+            rnorm = _max_residual(spec, config)
             agree = float(np.max(np.abs(config.as_array() - reference)))
             rows.append(
                 f"{n},{method},{_fmt(wall)},{_fmt(rnorm)},{_fmt(agree)}"
@@ -341,41 +307,42 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _add_run_args(
+    p: argparse.ArgumentParser,
+    tol: float,
+    t_max: dict,
+    init: InitStrategy = InitStrategy.EQUISPACED,
+    seed: int | None = None,
+) -> None:
+    """--n, --t-max, --tol, --init, --seed and --output.  t_max holds the
+    keywords of --t-max: its default, or required=True."""
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--t-max", type=float, dest="t_max", **t_max)
+    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument(
+        "--init", choices=[s.value for s in InitStrategy], default=init.value
+    )
+    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--output", default=None)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zeroflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="compute eigenpolynomial zeros")
     _add_spec_args(ps)
-    ps.add_argument("--n", type=int, required=True)
+    _add_run_args(ps, 1e-10, {"default": 80.0})
     ps.add_argument(
         "--method", choices=["flow", "newton", "spectral"], default="spectral"
     )
-    ps.add_argument("--tol", type=float, default=1e-10)
-    ps.add_argument("--t-max", type=float, default=80.0, dest="t_max")
     ps.add_argument("--max-iter", type=int, default=200, dest="max_iter")
-    ps.add_argument(
-        "--init",
-        choices=[s.value for s in InitStrategy],
-        default=InitStrategy.EQUISPACED.value,
-    )
-    ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--output", default=None)
     ps.set_defaults(func=cmd_solve)
 
     pf = sub.add_parser("flow", help="emit a CSV particle trajectory")
     _add_spec_args(pf)
-    pf.add_argument("--n", type=int, required=True)
-    pf.add_argument("--t-max", type=float, required=True, dest="t_max")
-    pf.add_argument("--tol", type=float, default=1e-9)
-    pf.add_argument(
-        "--init",
-        choices=[s.value for s in InitStrategy],
-        default=InitStrategy.EQUISPACED.value,
-    )
-    pf.add_argument("--seed", type=int, default=None)
+    _add_run_args(pf, 1e-9, {"required": True})
     pf.add_argument("--stride", type=int, default=None)
-    pf.add_argument("--output", default=None)
     pf.set_defaults(func=cmd_flow)
 
     pv = sub.add_parser("verify", help="check a points file for equilibrium")
@@ -386,16 +353,7 @@ def _build_parser() -> _Parser:
 
     pr = sub.add_parser("rate", help="fit the exponential convergence rate")
     _add_spec_args(pr)
-    pr.add_argument("--n", type=int, required=True)
-    pr.add_argument("--t-max", type=float, default=None, dest="t_max")
-    pr.add_argument("--tol", type=float, default=1e-10)
-    pr.add_argument(
-        "--init",
-        choices=[s.value for s in InitStrategy],
-        default=InitStrategy.SEEDED.value,
-    )
-    pr.add_argument("--seed", type=int, default=1)
-    pr.add_argument("--output", default=None)
+    _add_run_args(pr, 1e-10, {"default": None}, InitStrategy.SEEDED, 1)
     pr.set_defaults(func=cmd_rate)
 
     pb = sub.add_parser("bench", help="wall-time and accuracy table")

@@ -1,10 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zeroflow import ClassicalFamily, make_classical, oracle_zeros
-from zeroflow.cli import main
+from zeroflow.cli import _build_parser, main
 
 L3_ZEROS = (0.41577455678347908, 2.2942803602790417, 6.2899450829374792)
 
@@ -59,6 +61,10 @@ class TestSolve:
         assert run(capsys, "solve", "--family", "nosuch", "--n", "3")[0] == 1
         assert run(capsys, "solve", "--family", "jacobi", "--n", "3")[0] == 1
         assert run(capsys, "solve", "--family", "hermite")[0] == 1  # missing --n
+        code, _, err = run(
+            capsys, "solve", "--family", "laguerre", "--beta", "5", "--n", "3"
+        )
+        assert code == 1 and "Laguerre takes no beta parameter" in err
 
     def test_json_deterministic_up_to_timestamp(self, capsys):
         outs = []
@@ -75,11 +81,17 @@ class TestSolve:
 
     def test_numeric_failure_exit_2(self, capsys):
         # flow cannot meet the residual tolerance in so little time
-        code, _, _ = run(
+        code, _, err = run(
             capsys, "solve", "--family", "legendre", "--n", "6", "--method", "flow",
             "--t-max", "1e-6", "--tol", "1e-12",
         )
         assert code == 2
+        assert "flow terminated by max_time" in err
+        code, _, err = run(
+            capsys, "rate", "--family", "legendre", "--n", "6", "--t-max", "1e-6",
+        )
+        assert code == 2
+        assert "flow terminated by max_time" in err
 
     def test_not_real_rooted_spectral_exit_2(self, capsys):
         # p = -1, q = x has no real-rooted eigenpolynomials
@@ -124,6 +136,16 @@ class TestFlowCommand:
         )
         assert code == 0
         assert out.splitlines()[0] == "t,x1,x2,x3"
+
+    def test_nonpositive_stride_exit_1(self, capsys):
+        for stride in ("0", "-1"):
+            code, out, err = run(
+                capsys, "flow", "--family", "legendre", "--n", "3",
+                "--t-max", "0.2", "--stride", stride,
+            )
+            assert code == 1
+            assert out == ""
+            assert "snapshot_stride must be positive" in err
 
     def test_seeded_determinism_byte_identical(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -242,3 +264,26 @@ class TestBenchCommand:
         assert times[24] >= 0.2 * times[4]
         for r in rows:
             assert float(r[4]) < 1e-6
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln)[1:] for ln in lines if ln.startswith("zeroflow ")]
+
+
+def test_readme_cli_commands_parse():
+    # parses only: a flag renamed or removed in the CLI fails here instead of
+    # leaving the README stale
+    commands = _readme_cli_commands()
+    assert {argv[0] for argv in commands} == {
+        "solve", "flow", "verify", "rate", "bench"
+    }
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: zeroflow {shlex.join(argv)}")
