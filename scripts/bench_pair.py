@@ -9,7 +9,8 @@ directory, which is removed afterwards.  For every seed the script runs
 ``bench/run.py`` once on each side, back to back, and alternates which
 side runs first.  It writes ``BENCH_<workload>.json`` (or ``--out``): the
 protocol, the environment, one row per run, the median and quartiles of
-every metric on each side, and for how many seeds the change did better.
+every metric on each side, for how many seeds the change did better, and
+a verdict per metric (see ``verdict``), which it also prints.
 """
 
 from __future__ import annotations
@@ -72,6 +73,28 @@ def _row(side: str, seed: int, ran: str, run: dict) -> dict:
     return row
 
 
+def verdict(parent: list[float], change: list[float], better: str) -> str:
+    """'faster', 'slower' or 'unresolved' for one metric over paired runs.
+
+    ``parent[i]`` and ``change[i]`` are the two runs of pair i, and
+    ``better`` is the metric's declared direction, "higher" or "lower".
+    A side wins a pair when its value is better; ties count for neither.
+    The change is faster when it wins at least nine tenths of the pairs
+    and its median is better than the parent's by more than the parent's
+    interquartile spread; slower is the same rule the other way round.
+    For a metric that is not a time, faster means better in its direction.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    gain = sign * (np.asarray(change, float) - np.asarray(parent, float))
+    q1, q3 = np.percentile(parent, [25, 75])
+    shift = sign * (np.median(change) - np.median(parent))
+    if np.sum(gain > 0) >= 0.9 * gain.size and shift > q3 - q1:
+        return "faster"
+    if np.sum(gain < 0) >= 0.9 * gain.size and -shift > q3 - q1:
+        return "slower"
+    return "unresolved"
+
+
 def _summary(rows: list[dict], metrics: list[dict]) -> dict:
     out = {}
     for side in ("parent", "change"):
@@ -84,15 +107,19 @@ def _summary(rows: list[dict], metrics: list[dict]) -> dict:
                                     "q3": round(float(q3), 4), "runs": len(values)}  # fmt: skip
     seeds = sorted({r["seed"] for r in rows})
     by = {(r["side"], r["seed"]): r for r in rows}
-    ratio, better = {}, {}
+    ratio, better, verdicts = {}, {}, {}
     for m in metrics:
         name, sign = m["name"], (1 if m["better"] == "higher" else -1)
+        parent = [by["parent", s][name] for s in seeds]
+        change = [by["change", s][name] for s in seeds]
         parent_median = out["parent"][name]["median"]
         ratio[name] = round(out["change"][name]["median"] / parent_median, 3) if parent_median else None
-        wins = sum(sign * (by["change", s][name] - by["parent", s][name]) > 0 for s in seeds)
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         better[name] = f"{wins}/{len(seeds)}"
+        verdicts[name] = verdict(parent, change, m["better"])
     out["change_over_parent"] = ratio
     out["pairs_change_better"] = better
+    out["verdict"] = verdicts
     return out
 
 
@@ -141,6 +168,9 @@ def main(argv=None) -> int:
             "pairing": "one parent run and one change run per seed, back to back; "
             "the side that runs first alternates with the seed",
             "median": "median and quartiles over the seeds of each side",
+            "verdict": "faster (slower) when the change wins (loses) at least 9/10 of the "
+            "pairs, ties counting for neither, and the medians differ by more than the "
+            "parent's interquartile spread; unresolved otherwise",
         },
         "environment": environment,
         "summary": _summary(rows, metrics),
@@ -150,7 +180,17 @@ def main(argv=None) -> int:
     with open(out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
-    print(json.dumps(report["summary"]))
+    summary = report["summary"]
+    for m in metrics:
+        name = m["name"]
+        parent, change = summary["parent"][name], summary["change"][name]
+        line = (f"{name}: {summary['verdict'][name]} (change better in "
+                f"{summary['pairs_change_better'][name]} pairs; median {parent['median']:g} "
+                f"-> {change['median']:g}, parent quartiles {parent['q1']:g}-{parent['q3']:g})")  # fmt: skip
+        if summary["verdict"][name] == "unresolved":
+            line += "; add pairs (20 or more) before quoting it"
+        print(line)
+    print(json.dumps(summary))
     return 0
 
 

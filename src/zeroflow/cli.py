@@ -256,7 +256,7 @@ def cmd_rate(args) -> int:
         raise ZeroflowError(
             "nonpositive eigenvalue gap; no rate claim for this spec"
         )
-    t_max = args.t_max if args.t_max else min(200.0, max(5.0, 40.0 / gap))
+    t_max = args.t_max if args.t_max is not None else min(200.0, max(5.0, 40.0 / gap))
     start = default_init(spec, n, args.init, args.seed)
     opts = dataclasses.replace(
         convergence_options(n, t_max, args.tol), snapshot_stride=1

@@ -4,7 +4,8 @@ Because the operator matrix is upper triangular with the eigenvalues on the
 diagonal, the monic eigenvectors for lambda_0 .. lambda_n follow from one
 back-substitution (eigenbasis_matrix); eigen_coefficients takes the last
 column, whose real roots are then isolated by sign changes on a refining
-grid and polished by bisection plus Newton steps.  heat_propagate evolves
+grid and found by Newton steps kept inside each sign-change bracket, down to
+the round-off floor of the Horner evaluation.  heat_propagate evolves
 arbitrary polynomial coefficients exactly under exp(t M) through the same
 eigenbasis, with no time stepping.
 
@@ -55,8 +56,8 @@ __all__ = [
 # evaluation cancellation).
 F64_ORACLE_LIMIT = 12
 
-_BISECT_WIDTH = 1e-10
 _MAX_GRID = 2**22
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -154,14 +155,59 @@ def _cos_grid(lo: float, hi: float, m: int) -> np.ndarray:
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)[::-1]
 
 
+def _bracketed_newton(c: list[float], a: float, b: float, sign_a: float) -> float:
+    """The root of the polynomial c (ascending) in the bracket [a, b], where
+    p(a) has the nonzero sign sign_a and p(b) the opposite one.
+
+    Newton's method from the bracket's midpoint, safeguarded by the bracket:
+    every evaluation moves the endpoint whose sign p shares to x, and a
+    Newton step that would leave the closed bracket becomes a bisection.
+    The same Horner pass that gives p and p' gives e = sum |c_i| |x|^i,
+    and |p| <= 2n eps e is the round-off floor of the computed p (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 5.1).  The root
+    is done at that floor or once a step is below 4 eps (1 + |x|); at the
+    floor it still takes the Newton correction if that stays in the
+    bracket, as the computed p still points towards the root.
+
+    Each root runs on Python floats: with a dozen roots, numpy's per-call
+    cost outweighs the arithmetic, and the results are the same doubles.
+    """
+    n = len(c) - 1
+    terms = [(ci, abs(ci)) for ci in reversed(c[:-1])]
+    floor_per_e = 2 * n * _EPS
+    x = 0.5 * (a + b)
+    for _ in range(200):  # backstop; a simple root needs a handful of steps
+        p, d, e, ax = c[n], 0.0, abs(c[n]), abs(x)
+        for ci, abs_ci in terms:
+            d = d * x + p
+            p = p * x + ci
+            e = e * ax + abs_ci
+        if p * sign_a > 0:
+            a = x
+        else:
+            b = x
+        at_floor = abs(p) <= floor_per_e * e
+        xn = x - p / d if d else math.nan
+        if a <= xn <= b:
+            step = xn
+        elif at_floor:
+            step = x
+        else:
+            step = 0.5 * (a + b)
+        if at_floor or abs(step - x) <= 4.0 * _EPS * (1.0 + abs(step)):
+            return step
+        x = step
+    return x
+
+
 def poly_roots(coeffs: PolynomialCoefficients, domain: Domain) -> Configuration:
     """Isolate all real roots of a polynomial expected to be real-rooted.
 
     Sign changes are bracketed on a refining grid bounded by the Cauchy
     bound 1 + max|c_i / c_n| (tightened by Samuelson's inequality and
     clipped to the domain's finite endpoints, since the roots of interest
-    lie there); each bracket is bisected to width 1e-10 and polished by
-    Newton steps to near machine precision.
+    lie there); in each bracket, Newton steps safeguarded by bisection run
+    until p reaches its round-off floor (see _bracketed_newton).
 
     Raises RootCountMismatch when the number of isolated real roots differs
     from the degree, which signals complex roots or numerical breakdown.
@@ -187,18 +233,10 @@ def poly_roots(coeffs: PolynomialCoefficients, domain: Domain) -> Configuration:
     lo -= 1e-9 * (1.0 + abs(lo))
     hi += 1e-9 * (1.0 + abs(hi))
 
-    dc = c[1:] * np.arange(1, n + 1)
-
-    def pv(x):
-        return np.polynomial.polynomial.polyval(x, c)
-
-    def dpv(x):
-        return np.polynomial.polynomial.polyval(x, dc)
-
     m = max(64, 8 * n)
     while True:
         xs = _cos_grid(lo, hi, m)
-        vals = pv(xs)
+        vals = np.polynomial.polynomial.polyval(xs, c)
         if not np.all(np.isfinite(vals)):
             raise RootCountMismatch(n, 0, "overflow while evaluating on grid")
         sgn = np.sign(vals)
@@ -213,31 +251,10 @@ def poly_roots(coeffs: PolynomialCoefficients, domain: Domain) -> Configuration:
             raise RootCountMismatch(n, int(count), f"grid of {m} cells")
         m *= 2
 
-    a, b = xs[flip], xs[flip + 1]
-    fa = pv(a)
-    for _ in range(200):  # width halves per pass; 200 covers any double range
-        if np.all(b - a <= _BISECT_WIDTH):
-            break
-        mid = 0.5 * (a + b)
-        if np.all((mid <= a) | (mid >= b)):
-            break
-        fm = pv(mid)
-        left = fa * fm > 0
-        a = np.where(left, mid, a)
-        fa = np.where(left, fm, fa)
-        b = np.where(left, b, mid)
-    a0, b0 = a.copy(), b.copy()
-
-    x = 0.5 * (a + b)
-    for _ in range(30):
-        d = dpv(x)
-        d = np.where(d == 0.0, 1.0, d)
-        dx = pv(x) / d
-        x = np.clip(x - dx, a0, b0)
-        if np.all(np.abs(dx) <= 4.0 * np.finfo(float).eps * (1.0 + np.abs(x))):
-            break
-
-    roots = np.sort(np.concatenate((x, exact)))
+    cs = c.tolist()
+    brackets = zip(xs[flip].tolist(), xs[flip + 1].tolist(), sgn[flip].tolist())
+    found = [_bracketed_newton(cs, a, b, s) for a, b, s in brackets]
+    roots = np.sort(np.concatenate((found, exact)))
     if len(roots) != n or np.any(np.diff(roots) <= 0.0):
         raise RootCountMismatch(n, len(np.unique(roots)), "roots merged")
     return Configuration(tuple(roots))

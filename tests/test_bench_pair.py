@@ -1,0 +1,57 @@
+"""The verdict rule of scripts/bench_pair.py, on made-up paired values."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "bench_pair.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pair", _PATH)
+bench_pair = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pair)
+verdict = bench_pair.verdict
+
+# parent runs 100..109: median 104.5, quartiles 102.25 and 106.75 (spread 4.5)
+PARENT = [100.0 + k for k in range(10)]
+
+
+def test_all_pairs_won_by_a_wide_margin():
+    change = [v + 20.0 for v in PARENT]
+    assert verdict(PARENT, change, "higher") == "faster"
+    assert verdict(PARENT, change, "lower") == "slower"
+
+
+def test_nine_of_ten_is_enough_and_eight_is_not():
+    nine = [v + 20.0 for v in PARENT[:9]] + [PARENT[9] - 1.0]
+    eight = [v + 20.0 for v in PARENT[:8]] + [PARENT[8] - 1.0, PARENT[9] - 1.0]
+    assert verdict(PARENT, nine, "higher") == "faster"
+    assert verdict(PARENT, eight, "higher") == "unresolved"
+
+
+def test_ties_count_for_neither_side():
+    # 8 wins and 2 ties: 8/10 wins, short of nine tenths
+    change = [v + 20.0 for v in PARENT[:8]] + PARENT[8:]
+    assert verdict(PARENT, change, "higher") == "unresolved"
+    # 9 wins and 1 tie still reach nine tenths
+    change = [v + 20.0 for v in PARENT[:9]] + PARENT[9:]
+    assert verdict(PARENT, change, "higher") == "faster"
+
+
+def test_every_pair_won_but_medians_within_parent_spread():
+    change = [v + 4.0 for v in PARENT]  # shift 4.0 <= spread 4.5
+    assert verdict(PARENT, change, "higher") == "unresolved"
+    change = [v + 5.0 for v in PARENT]
+    assert verdict(PARENT, change, "higher") == "faster"
+
+
+def test_lower_is_better_direction():
+    setup = [0.15 + 0.001 * k for k in range(10)]
+    assert verdict(setup, [v - 0.05 for v in setup], "lower") == "faster"
+    assert verdict(setup, [v + 0.05 for v in setup], "lower") == "slower"
+    assert verdict(setup, setup, "lower") == "unresolved"
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_mixed_pairs_unresolved(better):
+    change = [v + (20.0 if k % 2 else -20.0) for k, v in enumerate(PARENT)]
+    assert verdict(PARENT, change, better) == "unresolved"

@@ -65,6 +65,10 @@ class TestSolve:
             capsys, "solve", "--family", "laguerre", "--beta", "5", "--n", "3"
         )
         assert code == 1 and "Laguerre takes no beta parameter" in err
+        code, out, err = run(
+            capsys, "rate", "--family", "laguerre", "--n", "3", "--t-max", "0"
+        )
+        assert code == 1 and "t_max must be positive" in err and out == ""
 
     def test_json_deterministic_up_to_timestamp(self, capsys):
         outs = []
@@ -224,13 +228,14 @@ class TestRateCommand:
         assert payload["fit_quality"] >= 0.98
 
     def test_hermite_exact_rate(self, capsys):
-        code, out, _ = run(
+        # equispaced for n=1 starts at the zero itself, so there is no decay
+        # to fit; the seeded default start gives one
+        code, _, err = run(
             capsys, "rate", "--family", "hermite", "--n", "1", "--init",
             "equispaced", "--t-max", "40",
         )
-        # equispaced for n=1 starts at the zero itself; use seeded instead
-        if code != 0:
-            code, out, _ = run(capsys, "rate", "--family", "hermite", "--n", "1")
+        assert code == 2 and "trajectory starts at the reference" in err
+        code, out, _ = run(capsys, "rate", "--family", "hermite", "--n", "1")
         assert code == 0
         payload = json.loads(out)
         assert payload["sigma_hat"] == pytest.approx(1.0, abs=0.05)

@@ -22,6 +22,7 @@ from zeroflow import (
     poly_roots,
     residual,
 )
+from zeroflow import spectral
 from zeroflow.operator_core import REAL_LINE
 from zeroflow.spectral import F64_ORACLE_LIMIT, _recurrence_zeros, eigenbasis_matrix
 from conftest import CLASSICAL_SPECS
@@ -29,6 +30,11 @@ from conftest import CLASSICAL_SPECS
 LAG = make_classical(ClassicalFamily.laguerre(0.0))
 LEG = make_classical(ClassicalFamily.legendre())
 HER = make_classical(ClassicalFamily.hermite())
+HEAT_SPECS = [
+    ("jacobi", make_classical(ClassicalFamily.jacobi(0.3, 1.2))),
+    ("laguerre", make_classical(ClassicalFamily.laguerre(0.7))),
+    ("hermite", HER),
+]
 
 # frozen reference values, computed independently to 30 digits
 L3_ZEROS = (0.41577455678347908, 2.2942803602790417, 6.2899450829374792)
@@ -134,6 +140,54 @@ class TestPolyRoots:
         # symmetric cubic has a root at 0, which cosine grids hit exactly
         cfg = poly_roots(PolynomialCoefficients.from_roots((-1.0, 0.0, 1.0)), REAL_LINE)
         np.testing.assert_allclose(cfg.points, [-1.0, 0.0, 1.0], atol=1e-13)
+
+    @pytest.mark.parametrize("name,spec", HEAT_SPECS)
+    @pytest.mark.parametrize("n", (4, 8, 12))
+    @pytest.mark.parametrize("lam_t", (1.0, 10.0))
+    def test_heat_output_roots_at_round_off_floor(self, name, spec, n, lam_t):
+        # the heat workload's residual bound on the coefficients it checks:
+        # Horner round-off of p at x plus a few ulp of x times the slope
+        lo, hi = {"jacobi": (-0.95, 0.95), "laguerre": (0.5, 3.5 * n)}.get(
+            name, (-1.8 * math.sqrt(n), 1.8 * math.sqrt(n))
+        )
+        gaps = np.random.default_rng(n).uniform(0.5, 1.5, size=n + 1)
+        x0 = lo + (hi - lo) * np.cumsum(gaps)[:-1] / gaps.sum()
+        out = heat_propagate(
+            spec, PolynomialCoefficients.from_roots(x0), lam_t / eigenvalue(spec, n)
+        )
+        x = poly_roots(out, spec.domain).as_array()
+        assert x.size == n
+        p = np.polynomial.Polynomial(out.as_array())
+        powers = np.abs(x)[:, None] ** np.arange(n + 1)
+        eps = np.finfo(float).eps
+        allowed = (
+            4.0 * n * eps * (powers @ np.abs(out.as_array()))
+            + 8.0 * eps * (1.0 + np.abs(x)) * np.abs(p.deriv()(x))
+        )
+        assert np.all(np.abs(p(x)) <= allowed), np.abs(p(x)) / allowed
+
+    def test_newton_step_leaving_bracket_falls_back_to_bisection(self, monkeypatch):
+        # prod(x - k), k = 1..10: the grid puts the root 1 in the cell
+        # [0.9977, 1.2896].  At its midpoint 1.1437, p = -3.41e4 and
+        # p' = -1.32e5, so the first Newton step lands at 0.886, outside the
+        # cell, and the loop bisects instead (the root 10 mirrors this)
+        brackets = []
+        real = spectral._bracketed_newton
+
+        def spy(c, a, b, sign_a):
+            brackets.append((a, b))
+            return real(c, a, b, sign_a)
+
+        monkeypatch.setattr(spectral, "_bracketed_newton", spy)
+        coeffs = PolynomialCoefficients.from_roots(range(1, 11))
+        cfg = poly_roots(coeffs, REAL_LINE)
+        np.testing.assert_allclose(cfg.points, np.arange(1, 11), rtol=0, atol=1e-9)
+
+        p = np.polynomial.Polynomial(coeffs.as_array())
+        a, b = np.array(brackets).T
+        mid = 0.5 * (a + b)
+        newton = mid - p(mid) / p.deriv()(mid)
+        assert np.any((newton < a) | (newton > b))
 
 
 class TestOracleZeros:
