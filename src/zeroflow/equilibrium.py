@@ -17,6 +17,7 @@ so equilibria of R coincide with stationary points of E.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,7 +76,7 @@ class EquilibriumReport:
 
 
 def _require_in_domain(spec: EquationSpec, x: np.ndarray) -> None:
-    if not (np.all(x > spec.domain.lower) and np.all(x < spec.domain.upper)):
+    if not spec.domain.contains(x):
         raise ValueError(
             f"configuration leaves the open domain "
             f"({spec.domain.lower:g}, {spec.domain.upper:g})"
@@ -138,28 +139,22 @@ def newton_solve(
 
     Full Newton steps are halved (up to 40 times) until the trial iterate is
     strictly increasing and inside the domain; no other globalization.
-    Raises MaxIterExceeded (carrying the last iterate and its residual norm)
-    or SingularJacobian.
+    At most max_iter steps are taken; with max_iter <= 0 only the start is
+    checked against tol.  Raises MaxIterExceeded (carrying the last iterate
+    and its residual norm) or SingularJacobian.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     x = start.as_array()
     _require_in_domain(spec, x)
-    lo, hi = spec.domain.lower, spec.domain.upper
 
-    def valid(y: np.ndarray) -> bool:
-        return (
-            bool(np.all(np.diff(y) > 0.0))
-            and bool(np.all(y > lo))
-            and bool(np.all(y < hi))
-            and bool(np.all(np.isfinite(y)))
-        )
-
-    for _ in range(max_iter):
+    for iteration in itertools.count():
         r = _residual_array(spec, x)
         rnorm = float(np.max(np.abs(r)))
         if rnorm < tol:
             return Configuration(tuple(x))
+        if iteration >= max_iter:
+            raise MaxIterExceeded(Configuration(tuple(x)), rnorm)
         J = residual_jacobian(spec, Configuration(tuple(x)))
         try:
             delta = np.linalg.solve(J, -r)
@@ -170,7 +165,7 @@ def newton_solve(
         step = 1.0
         for _ in range(40):
             trial = x + step * delta
-            if valid(trial):
+            if np.all(np.diff(trial) > 0.0) and spec.domain.contains(trial):
                 break
             step *= 0.5
         else:
@@ -178,12 +173,6 @@ def newton_solve(
                 Configuration(tuple(x)), rnorm, "step damping exhausted"
             )
         x = trial
-
-    r = _residual_array(spec, x)
-    rnorm = float(np.max(np.abs(r)))
-    if rnorm < tol:
-        return Configuration(tuple(x))
-    raise MaxIterExceeded(Configuration(tuple(x)), rnorm)
 
 
 def monic_from_roots(points: Sequence[float]) -> np.ndarray:

@@ -85,7 +85,6 @@ class FlowOptions:
 
     t_max: float
     residual_tol: float = 1e-9
-    initial_step: float = 1e-4
     max_steps: int = 1_000_000
     snapshot_stride: int = 1
     rel_tol: float = 1e-8
@@ -95,7 +94,6 @@ class FlowOptions:
         for name in (
             "t_max",
             "residual_tol",
-            "initial_step",
             "max_steps",
             "snapshot_stride",
             "rel_tol",
@@ -158,6 +156,7 @@ _B4 = np.array(
 )
 _E = _B5 - _B4
 
+_INITIAL_STEP = 1e-4
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -165,6 +164,17 @@ _MAX_FACTOR = 5.0
 
 def _min_gap(x: np.ndarray) -> float:
     return float((x[1:] - x[:-1]).min()) if x.size > 1 else math.inf
+
+
+def _step_factor(err: float) -> float:
+    """Step size multiplier after an attempt with scaled error err: halve
+    after a failed guard (err = inf), otherwise SAFETY * err^(-1/5) kept
+    within [MIN_FACTOR, MAX_FACTOR]."""
+    if not math.isfinite(err):
+        return 0.5
+    if err == 0.0:
+        return _MAX_FACTOR
+    return min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
 
 
 def integrate(
@@ -179,26 +189,27 @@ def integrate(
     step plus the initial and final states.
     """
     x = start.as_array()
-    lo, hi = spec.domain.lower, spec.domain.upper
-    if not (np.all(x > lo) and np.all(x < hi)):
+    if not spec.domain.contains(x):
         raise ValueError("start configuration must lie inside the open domain")
+    lo, hi = spec.domain.lower, spec.domain.upper
     n = x.size
 
     f = _residual_array(spec, x)
     snaps = [Snapshot(0.0, Configuration(tuple(x)), float(np.abs(f).max()))]
-    if snaps[0].residual_norm < opts.residual_tol:
-        return Trajectory(tuple(snaps), spec, TerminationReason.CONVERGED, 0, 0)
-
     t = 0.0
-    h = min(opts.initial_step, opts.t_max)
+    h = min(_INITIAL_STEP, opts.t_max)
     accepted = rejected = 0
     ks = np.empty((7, n))
     gap = _min_gap(x)  # of the accepted point
 
     def finish(reason: TerminationReason) -> Trajectory:
+        # the final state, unless the last snapshot already holds it
         if snaps[-1].t < t:
             snaps.append(Snapshot(t, Configuration(tuple(x)), float(np.abs(f).max())))
         return Trajectory(tuple(snaps), spec, reason, accepted, rejected)
+
+    if snaps[0].residual_norm < opts.residual_tol:
+        return finish(TerminationReason.CONVERGED)
 
     while True:
         if accepted + rejected >= opts.max_steps:
@@ -235,14 +246,8 @@ def integrate(
 
         if err > 1.0:
             rejected += 1
-            factor = (
-                0.5
-                if not math.isfinite(err)
-                else max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            )
-            h *= factor
-            h_min = 1e-14 * max(1.0, t)
-            if h < h_min:
+            h *= _step_factor(err)
+            if h < 1e-14 * max(1.0, t):
                 if not ordered and y_new is not None and (y_new[0] <= lo or y_new[-1] >= hi):
                     return finish(TerminationReason.LEFT_DOMAIN)
                 return finish(TerminationReason.COLLISION_IMMINENT)
@@ -260,22 +265,12 @@ def integrate(
         rnorm = float(np.abs(f).max())
 
         if rnorm < opts.residual_tol:
-            snaps.append(Snapshot(t, Configuration(tuple(x)), rnorm))
-            return Trajectory(
-                tuple(snaps), spec, TerminationReason.CONVERGED, accepted, rejected
-            )
+            return finish(TerminationReason.CONVERGED)
         if t >= opts.t_max * (1.0 - 1e-15):
-            snaps.append(Snapshot(t, Configuration(tuple(x)), rnorm))
-            return Trajectory(
-                tuple(snaps), spec, TerminationReason.MAX_TIME, accepted, rejected
-            )
+            return finish(TerminationReason.MAX_TIME)
         if accepted % opts.snapshot_stride == 0:
             snaps.append(Snapshot(t, Configuration(tuple(x)), rnorm))
-
-        factor = _MAX_FACTOR if err == 0.0 else min(
-            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-        )
-        h *= factor
+        h *= _step_factor(err)
 
 
 def estimate_rate(traj: Trajectory, reference: Configuration) -> RateReport:
@@ -359,7 +354,7 @@ def default_init(
 
     if strategy is InitStrategy.INDEXED:
         pts = np.arange(1.0, n + 1.0)
-        if not (np.all(pts > lo) and np.all(pts < hi)):
+        if not spec.domain.contains(pts):
             raise ValueError("indexed start {1..n} leaves the domain")
         return Configuration(tuple(pts))
 

@@ -56,9 +56,12 @@ class Domain:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    def contains(self, x: float) -> bool:
-        """Strict interior membership."""
-        return self.lower < x < self.upper
+    def contains(self, x: float | np.ndarray) -> bool:
+        """Strict interior membership of x, or of every entry of an array x.
+
+        NaN is never inside, and neither is an infinite end point.
+        """
+        return bool(np.all(self.lower < x) and np.all(x < self.upper))
 
     @property
     def is_bounded(self) -> bool:

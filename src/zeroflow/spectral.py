@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -346,7 +345,6 @@ def _recurrence_zeros(spec: EquationSpec, n: int) -> Configuration:
     return Configuration(tuple(x))
 
 
-@lru_cache(maxsize=256)
 def oracle_zeros(spec: EquationSpec, n: int) -> Configuration:
     """Zeros of the degree-n eigenpolynomial, strictly inside the domain.
 
@@ -361,12 +359,12 @@ def oracle_zeros(spec: EquationSpec, n: int) -> Configuration:
         config = poly_roots(eigen_coefficients(spec, n), spec.domain)
     else:
         config = _recurrence_zeros(spec, n)
-    for r in config.points:
-        if not spec.domain.contains(r):
-            raise ZeroflowError(
-                f"eigenpolynomial root {r:g} lies outside the open domain "
-                f"({spec.domain.lower:g}, {spec.domain.upper:g})"
-            )
+    if not spec.domain.contains(config.as_array()):
+        r = next(r for r in config.points if not spec.domain.contains(r))
+        raise ZeroflowError(
+            f"eigenpolynomial root {r:g} lies outside the open domain "
+            f"({spec.domain.lower:g}, {spec.domain.upper:g})"
+        )
     return config
 
 
@@ -386,13 +384,12 @@ def heat_propagate(
     if t < 0:
         raise ValueError("propagation time must be nonnegative")
     n = coeffs.degree
-    _require_simple(spec, n)
+    Y = eigenbasis_matrix(spec, n)
     lam = np.array([eigenvalue(spec, k) for k in range(n + 1)])
     if lam[n] * t > _EXP_CAP:
         raise PropagatorOverflow(
             f"lambda_n * t = {lam[n] * t:.3g} exceeds {_EXP_CAP:g}"
         )
-    Y = eigenbasis_matrix(spec, n)
     a = np.linalg.solve(Y, coeffs.as_array())
     out = Y @ (a * np.exp(lam * t))
     return PolynomialCoefficients(tuple(out))

@@ -1,4 +1,5 @@
-"""The verdict rule of scripts/bench_pair.py, on made-up paired values."""
+"""The verdict and bound rules of scripts/bench_pair.py, on made-up paired
+values."""
 
 import importlib.util
 import pathlib
@@ -10,6 +11,7 @@ _SPEC = importlib.util.spec_from_file_location("bench_pair", _PATH)
 bench_pair = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pair)
 verdict = bench_pair.verdict
+against_bound = bench_pair.against_bound
 
 # parent runs 100..109: median 104.5, quartiles 102.25 and 106.75 (spread 4.5)
 PARENT = [100.0 + k for k in range(10)]
@@ -55,3 +57,28 @@ def test_lower_is_better_direction():
 def test_mixed_pairs_unresolved(better):
     change = [v + (20.0 if k % 2 else -20.0) for k, v in enumerate(PARENT)]
     assert verdict(PARENT, change, better) == "unresolved"
+
+
+def test_shift_within_and_beyond_bound_higher_is_better():
+    # parent median 104.5: 20% lower is within a 0.25 bound, 30% lower is not
+    shift, status = against_bound(PARENT, [0.8 * v for v in PARENT], "higher", 0.25)
+    assert shift == pytest.approx(-0.2) and status == "within bound"
+    shift, status = against_bound(PARENT, [0.7 * v for v in PARENT], "higher", 0.25)
+    assert shift == pytest.approx(-0.3) and status == "beyond bound"
+    # any gain is within bound, however large
+    assert against_bound(PARENT, [3.0 * v for v in PARENT], "higher", 0.25)[1] == "within bound"
+
+
+def test_shift_within_and_beyond_bound_lower_is_better():
+    rss = [60.0 + 0.1 * k for k in range(10)]
+    assert against_bound(rss, [1.05 * v for v in rss], "lower", 0.1)[1] == "within bound"
+    assert against_bound(rss, [1.15 * v for v in rss], "lower", 0.1)[1] == "beyond bound"
+    assert against_bound(rss, [0.5 * v for v in rss], "lower", 0.1)[1] == "within bound"
+
+
+def test_bound_uses_medians_not_single_pairs():
+    # one pair far worse moves neither median: still within bound
+    change = list(PARENT)
+    change[0] = 1.0
+    shift, status = against_bound(PARENT, change, "higher", 0.25)
+    assert abs(shift) < 0.02 and status == "within bound"

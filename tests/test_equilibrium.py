@@ -157,6 +157,16 @@ class TestNewtonSolve:
         assert isinstance(err.last, Configuration)
         assert err.residual_norm > 0
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_iterations_only_checks_the_start(self, max_iter):
+        start = Configuration((1.0, 2.0, 3.0))
+        with pytest.raises(MaxIterExceeded) as exc_info:
+            newton_solve(LAG, start, tol=1e-10, max_iter=max_iter)
+        assert exc_info.value.last == start
+        assert exc_info.value.residual_norm == np.max(np.abs(residual(LAG, start)))
+        zeros = oracle_zeros(LAG, 3)
+        assert newton_solve(LAG, zeros, tol=1e-9, max_iter=max_iter) == zeros
+
     def test_singular_jacobian(self):
         # constant p, zero q: the residual is translation invariant, so the
         # Jacobian has the all-ones null vector

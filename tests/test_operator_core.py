@@ -25,6 +25,16 @@ class TestDomain:
         assert d.contains(1e-12)
         assert not d.contains(0.0)
         assert d.contains(1e300)
+        assert not d.contains(math.nan)
+        assert not d.contains(math.inf)
+        assert d.contains(np.array([1e-12, 1.0, 1e300]))
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            assert not d.contains(np.array([1.0, bad, 2.0]))
+        # an entry equal to either finite end point is outside
+        b = Domain(-1.0, 1.0)
+        assert b.contains(np.array([-0.5, 0.5]))
+        assert not b.contains(np.array([-1.0, 0.5]))
+        assert not b.contains(np.array([-0.5, 1.0]))
 
     def test_requires_order(self):
         with pytest.raises(ValueError):

@@ -136,10 +136,28 @@ class TestPolyRoots:
             cfg = poly_roots(PolynomialCoefficients.from_roots(roots), REAL_LINE)
             np.testing.assert_allclose(cfg.points, roots, atol=1e-9)
 
-    def test_root_exactly_on_grid_point(self):
-        # symmetric cubic has a root at 0, which cosine grids hit exactly
+    def test_root_exactly_on_grid_point(self, monkeypatch):
+        # the cosine grid's middle point is cos(pi/2) rounded, about 7e-17,
+        # so it misses the root 0 of x^3 - x; set it to 0.0 so that this
+        # root is read off the grid and only the other two are bracketed
+        real_grid, real_newton = spectral._cos_grid, spectral._bracketed_newton
+        brackets = []
+
+        def grid(lo, hi, m):
+            xs = real_grid(lo, hi, m)
+            xs[np.argmin(np.abs(xs))] = 0.0
+            return xs
+
+        def spy(c, a, b, sign_a):
+            brackets.append((a, b))
+            return real_newton(c, a, b, sign_a)
+
+        monkeypatch.setattr(spectral, "_cos_grid", grid)
+        monkeypatch.setattr(spectral, "_bracketed_newton", spy)
         cfg = poly_roots(PolynomialCoefficients.from_roots((-1.0, 0.0, 1.0)), REAL_LINE)
         np.testing.assert_allclose(cfg.points, [-1.0, 0.0, 1.0], atol=1e-13)
+        assert cfg.points[1] == 0.0
+        assert len(brackets) == 2
 
     @pytest.mark.parametrize("name,spec", HEAT_SPECS)
     @pytest.mark.parametrize("n", (4, 8, 12))
@@ -347,6 +365,11 @@ class TestHeatPropagate:
         spec = EquationSpec(0.0, 0.0, 1.0, 0.0, 0.0, Domain(-1, 1))
         with pytest.raises(DegenerateSpectrumError):
             heat_propagate(spec, PolynomialCoefficients((0.0, 0.0, 1.0)), 0.1)
+        # lambda_1 = lambda_2 = 500: lambda_2 * t = 1000 would also overflow,
+        # but the degenerate spectrum is reported first
+        spec = EquationSpec(250.0, 0.0, 1.0, 1000.0, 0.0, REAL_LINE)
+        with pytest.raises(DegenerateSpectrumError):
+            heat_propagate(spec, PolynomialCoefficients((0.0, 0.0, 1.0)), 2.0)
 
 
 class TestEigenbasis:
