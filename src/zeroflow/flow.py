@@ -32,6 +32,16 @@ by at most 50% in one step.  Steps violating a guard are rejected and
 halved.  Ordering is checked at every stage argument; the last stage
 argument is the step's 5th order end point, so that check also covers the
 end point.
+
+The linearization's eigenvalues fix the flow's stiffness near the zeros at
+rho = max_{k<n} |lambda_k - lambda_n| (lambda_n for every classical family).
+An explicit method whose step controller runs up to its stability boundary
+oscillates there, rejecting a large share of its steps, so every attempted
+step is capped at h <= 3/rho, just inside DP5's real stability interval
+[-3.31, 0].  Every accepted step still passes the same error test and
+guards.  The first-same-as-last slope is copied out of the stage buffer on
+acceptance, so a rejected attempt cannot overwrite it.  A run gives up on
+its guards only when the step has shrunk below one that can move t or x.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ import numpy as np
 
 from .equilibrium import Configuration, _residual_array
 from .errors import InsufficientDecay
-from .operator_core import EquationSpec, eigenvalue_gap
+from .operator_core import EquationSpec, eigenvalue, eigenvalue_gap
 
 __all__ = [
     "TerminationReason",
@@ -160,6 +170,10 @@ _INITIAL_STEP = 1e-4
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+# Largest h * rho attempted (rho: the stiffness, see integrate), about 10%
+# inside DP5's real stability interval [-3.31, 0]
+_STABLE_H_RHO = 3.0
+_EPS = float(np.finfo(float).eps)
 
 
 def _min_gap(x: np.ndarray) -> float:
@@ -187,15 +201,26 @@ def integrate(
     a guard keeps failing at the minimum step size or the step budget is
     exhausted.  The trajectory records every snapshot_stride-th accepted
     step plus the initial and final states.
+
+    Each attempted step is capped at 3/rho, rho = max_{k<n} |lambda_k -
+    lambda_n| being the stiffness at the zeros (no cap when rho = 0), so the
+    controller never runs into DP5's stability boundary.  The minimum step
+    is 4 eps max(t, max|x| / max|f|): a step that can no longer move t or x.
+    The slope at the accepted point (FSAL) is kept as a copy, independent
+    of later attempts.
     """
     x = start.as_array()
     if not spec.domain.contains(x):
         raise ValueError("start configuration must lie inside the open domain")
     lo, hi = spec.domain.lower, spec.domain.upper
     n = x.size
+    lam_n = eigenvalue(spec, n)
+    rho = max(abs(eigenvalue(spec, k) - lam_n) for k in range(n))
+    h_stable = _STABLE_H_RHO / rho if rho > 0 else math.inf
 
     f = _residual_array(spec, x)
-    snaps = [Snapshot(0.0, Configuration(tuple(x)), float(np.abs(f).max()))]
+    rnorm = float(np.abs(f).max())
+    snaps = [Snapshot(0.0, Configuration(tuple(x)), rnorm)]
     t = 0.0
     h = min(_INITIAL_STEP, opts.t_max)
     accepted = rejected = 0
@@ -208,13 +233,13 @@ def integrate(
             snaps.append(Snapshot(t, Configuration(tuple(x)), float(np.abs(f).max())))
         return Trajectory(tuple(snaps), spec, reason, accepted, rejected)
 
-    if snaps[0].residual_norm < opts.residual_tol:
+    if rnorm < opts.residual_tol:
         return finish(TerminationReason.CONVERGED)
 
     while True:
         if accepted + rejected >= opts.max_steps:
             return finish(TerminationReason.MAX_STEPS_EXCEEDED)
-        h = min(h, opts.t_max - t)
+        h = min(h, opts.t_max - t, h_stable)
 
         # every stage argument must be finite and strictly increasing; the
         # last one is the 5th order solution, the step's end point
@@ -247,7 +272,9 @@ def integrate(
         if err > 1.0:
             rejected += 1
             h *= _step_factor(err)
-            if h < 1e-14 * max(1.0, t):
+            # a zero or non-finite slope leaves no step worth trying
+            reach = float(np.abs(x).max()) / rnorm if rnorm > 0 else math.inf
+            if h < 4.0 * _EPS * max(t, reach):
                 if not ordered and y_new is not None and (y_new[0] <= lo or y_new[-1] >= hi):
                     return finish(TerminationReason.LEFT_DOMAIN)
                 return finish(TerminationReason.COLLISION_IMMINENT)
@@ -256,11 +283,9 @@ def integrate(
         t += h
         x = y_new
         gap = gap_new
-        # FSAL: the rhs at the accepted point.  f is a view of ks[6], so a
-        # later rejected attempt that runs all six stages overwrites it and
-        # the next attempt starts from the rejected point's slope (see the
-        # FOUND entry on FSAL in CHANGES.md).
-        f = ks[6]
+        # FSAL: the rhs at the accepted point, copied out of ks, which the
+        # next attempt overwrites
+        f = ks[6].copy()
         accepted += 1
         rnorm = float(np.abs(f).max())
 
