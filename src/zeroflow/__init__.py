@@ -14,99 +14,21 @@ eigenfunction (deg p <= 2, deg q <= 1):
 The routes certify each other; ``cli`` wraps them in a command-line tool.
 """
 
-from .equilibrium import (
-    Configuration,
-    EquilibriumReport,
-    newton_solve,
-    residual,
-    residual_jacobian,
-    stieltjes_energy,
-    stieltjes_gradient,
-    verify_theorem1,
-)
-from .errors import (
-    DegenerateSpectrumError,
-    InsufficientDecay,
-    MaxIterExceeded,
-    PointOnBoundary,
-    PropagatorOverflow,
-    RootCountMismatch,
-    SingularJacobian,
-    ZeroflowError,
-)
-from .flow import (
-    FlowOptions,
-    InitStrategy,
-    RateReport,
-    Snapshot,
-    TerminationReason,
-    Trajectory,
-    convergence_options,
-    default_init,
-    estimate_rate,
-    integrate,
-)
-from .operator_core import (
-    ClassicalFamily,
-    Domain,
-    EquationSpec,
-    FamilyTag,
-    check_simple_spectrum,
-    eigenvalue,
-    eigenvalue_gap,
-    make_classical,
-    operator_matrix,
-)
-from .spectral import (
-    PolynomialCoefficients,
-    eigen_coefficients,
-    heat_propagate,
-    oracle_zeros,
-    poly_roots,
-)
+from . import equilibrium, errors, flow, operator_core, spectral
+from .equilibrium import *
+from .errors import *
+from .flow import *
+from .operator_core import *
+from .spectral import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "ClassicalFamily",
-    "Configuration",
-    "DegenerateSpectrumError",
-    "Domain",
-    "EquationSpec",
-    "EquilibriumReport",
-    "FamilyTag",
-    "FlowOptions",
-    "InitStrategy",
-    "InsufficientDecay",
-    "MaxIterExceeded",
-    "PointOnBoundary",
-    "PolynomialCoefficients",
-    "PropagatorOverflow",
-    "RateReport",
-    "RootCountMismatch",
-    "SingularJacobian",
-    "Snapshot",
-    "TerminationReason",
-    "Trajectory",
-    "ZeroflowError",
-    "check_simple_spectrum",
-    "convergence_options",
-    "default_init",
-    "eigen_coefficients",
-    "eigenvalue",
-    "eigenvalue_gap",
-    "estimate_rate",
-    "heat_propagate",
-    "integrate",
-    "make_classical",
-    "newton_solve",
-    "operator_matrix",
-    "oracle_zeros",
-    "poly_roots",
-    "residual",
-    "residual_jacobian",
-    "stieltjes_energy",
-    "stieltjes_gradient",
-    "verify_theorem1",
-]
+# each module's __all__ is the one list of its public names
+__all__ = (
+    ["__version__"]
+    + equilibrium.__all__
+    + errors.__all__
+    + flow.__all__
+    + operator_core.__all__
+    + spectral.__all__
+)

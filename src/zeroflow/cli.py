@@ -43,6 +43,7 @@ from .operator_core import (
     Domain,
     EquationSpec,
     FamilyTag,
+    check_simple_spectrum,
     eigenvalue,
     eigenvalue_gap,
     make_classical,
@@ -251,11 +252,10 @@ def cmd_verify(args) -> int:
 def cmd_rate(args) -> int:
     spec, desc = _build_spec(args)
     n = args.n
+    defect = check_simple_spectrum(spec, n)
+    if defect is not None:
+        raise defect
     gap = eigenvalue_gap(spec, n)
-    if gap <= 0:
-        raise ZeroflowError(
-            "nonpositive eigenvalue gap; no rate claim for this spec"
-        )
     t_max = args.t_max if args.t_max is not None else min(200.0, max(5.0, 40.0 / gap))
     start = default_init(spec, n, args.init, args.seed)
     opts = dataclasses.replace(

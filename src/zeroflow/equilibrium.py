@@ -24,7 +24,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MaxIterExceeded, PointOnBoundary, SingularJacobian
-from .operator_core import EquationSpec, eigenvalue, operator_matrix
+from .operator_core import (
+    ClassicalFamily,
+    Domain,
+    EquationSpec,
+    eigenvalue,
+    operator_matrix,
+)
 
 __all__ = [
     "Configuration",
@@ -210,13 +216,14 @@ def verify_theorem1(
     )
 
 
+_UNIT_INTERVAL = Domain(-1.0, 1.0)
+
+
 def _check_energy_args(alpha: float, beta: float, x: np.ndarray) -> None:
-    if not (alpha > -1 and beta > -1):
-        raise ValueError("energy requires alpha > -1 and beta > -1")
-    if np.any(np.abs(x) >= 1.0):
-        raise PointOnBoundary(
-            "all points must lie strictly inside (-1, 1)"
-        )
+    """ClassicalFamily.jacobi holds the parameter rule; x must be inside."""
+    ClassicalFamily.jacobi(alpha, beta)
+    if not _UNIT_INTERVAL.contains(x):
+        raise PointOnBoundary("all points must lie strictly inside (-1, 1)")
 
 
 def stieltjes_energy(alpha: float, beta: float, config: Configuration) -> float:
@@ -253,6 +260,8 @@ def stieltjes_gradient(
 
     dE/dx_i = - sum_{k != i} 1/(x_i - x_k)
               - (alpha+1)/(2(x_i - 1)) - (beta+1)/(2(x_i + 1))
+
+    Not -R/(2p): p = 1 - x^2 rounds, costing eps/(1-|x|) next to +-1.
     """
     x = config.as_array()
     _check_energy_args(alpha, beta, x)

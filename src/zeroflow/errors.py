@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ZeroflowError",
+    "DegenerateSpectrumError",
+    "RootCountMismatch",
+    "PropagatorOverflow",
+    "PointOnBoundary",
+    "SingularJacobian",
+    "MaxIterExceeded",
+    "InsufficientDecay",
+]
+
 
 class ZeroflowError(Exception):
     """Base class for all errors raised by this package."""

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,16 +101,9 @@ class FlowOptions:
     abs_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in (
-            "t_max",
-            "residual_tol",
-            "max_steps",
-            "snapshot_stride",
-            "rel_tol",
-            "abs_tol",
-        ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"FlowOptions.{name} must be positive")
+        for field in fields(self):
+            if not getattr(self, field.name) > 0:
+                raise ValueError(f"FlowOptions.{field.name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -383,7 +376,7 @@ def default_init(
             raise ValueError("indexed start {1..n} leaves the domain")
         return Configuration(tuple(pts))
 
-    bounded = math.isfinite(lo) and math.isfinite(hi)
+    bounded = spec.domain.is_bounded
     if bounded:
         center, span = 0.5 * (lo + hi), hi - lo
     elif math.isfinite(lo):

@@ -271,7 +271,7 @@ def operator_matrix(spec: EquationSpec, n: int) -> np.ndarray:
         raise ValueError("degree bound must be nonnegative")
     M = np.zeros((n + 1, n + 1))
     for m in range(n + 1):
-        M[m, m] = spec.q1 * m - spec.p2 * m * (m + 1)
+        M[m, m] = eigenvalue(spec, m)
         if m >= 1:
             M[m - 1, m] = m * (spec.q0 - spec.p1 * m)
         if m >= 2:

@@ -44,8 +44,6 @@ __all__ = [
     "poly_roots",
     "oracle_zeros",
     "heat_propagate",
-    "eigenbasis_matrix",
-    "F64_ORACLE_LIMIT",
 ]
 
 # Largest degree of the monomial path (eigen_coefficients + poly_roots); the
@@ -306,14 +304,19 @@ def _recurrence_zeros(spec: EquationSpec, n: int) -> Configuration:
     """Zeros as the eigenvalues of the symmetric tridiagonal Jacobi matrix
     (Golub & Welsch 1969), polished by one Newton step.
 
-    Favard's theorem ties real, simple zeros to g_k > 0, so a spec that
-    violates it is refused before any eigen-solve.  The Newton step
-    evaluates P_n and P_n' by the orthonormal recurrence; the state
-    (P_(k-1), P_k, P'_(k-1), P'_k) is rescaled by one common factor at every
-    k, which leaves the ratio P_n / P_n' exact and keeps the values inside
-    double range (Hermite at n = 1000 reaches about e^1000).
-    Requires a simple increasing spectrum up to n.
+    By Favard's theorem, g_k > 0 for every k gives a positive weight that
+    makes the eigenpolynomials orthogonal, and with it real, simple zeros.
+    The converse does not hold: a spec with some g_k <= 0 may still have n
+    real zeros, but nothing certifies them, so it is refused before any
+    eigen-solve.  The Newton step evaluates P_n and P_n' by the orthonormal
+    recurrence; the state (P_(k-1), P_k, P'_(k-1), P'_k) is rescaled by one
+    common factor at every k, which leaves the ratio P_n / P_n' exact and
+    keeps the values inside double range (Hermite at n = 1000 reaches about
+    e^1000).
+    Raises DegenerateSpectrumError unless the spectrum is simple and
+    increasing up to n.
     """
+    _require_simple(spec, n)
     b, g = _recurrence(spec, n)
     bad = np.flatnonzero(~(g > 0.0))
     if bad.size:
@@ -321,8 +324,9 @@ def _recurrence_zeros(spec: EquationSpec, n: int) -> Configuration:
         raise RootCountMismatch(
             n,
             None,
-            f"recurrence coefficient g_{k} = {g[k - 1]:.6g} <= 0, so by "
-            "Favard's theorem the eigenpolynomial is not real-rooted",
+            f"recurrence coefficient g_{k} = {g[k - 1]:.6g} <= 0, so no "
+            "positive weight exists and the zeros are not certified real "
+            "and inside the domain",
         )
     s = np.sqrt(g)
     x = np.linalg.eigvalsh(np.diag(b) + np.diag(s, 1) + np.diag(s, -1))
@@ -354,7 +358,8 @@ def oracle_zeros(spec: EquationSpec, n: int) -> Configuration:
     """
     if n < 1:
         raise ValueError("oracle_zeros requires n >= 1")
-    _require_simple(spec, n)
+    # either path checks the spectrum first: eigenbasis_matrix or
+    # _recurrence_zeros
     if n <= F64_ORACLE_LIMIT:
         config = poly_roots(eigen_coefficients(spec, n), spec.domain)
     else:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zeroflow import ClassicalFamily, make_classical, oracle_zeros
+from zeroflow import cli
 from zeroflow.cli import _build_parser, main
 
 L3_ZEROS = (0.41577455678347908, 2.2942803602790417, 6.2899450829374792)
@@ -239,6 +240,17 @@ class TestRateCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["sigma_hat"] == pytest.approx(1.0, abs=0.05)
+
+    def test_degenerate_spectrum_refused_before_integrating(self, capsys, monkeypatch):
+        # lambda_m = m^2 - 2m: lambda_1 = -1 < lambda_0 = 0 although the
+        # last gap, lambda_3 - lambda_2 = 3, is positive
+        def no_flow(*args):
+            raise AssertionError("integrate called")
+
+        monkeypatch.setattr(cli, "integrate", no_flow)
+        code, out, err = run(capsys, "rate", "--p", "1,0,-1", "--q", "0,-3", "--n", "3")
+        assert code == 2 and out == ""
+        assert err == "error: degenerate spectrum: lambda_0=0 and lambda_1=-1 are not strictly increasing\n"
 
 
 class TestBenchCommand:

@@ -313,3 +313,50 @@ class TestGradientResidualIdentity:
             lhs = r + 2.0 * spec.p(x) * g
             scale = 1.0 + np.max(np.abs(r))
             assert np.max(np.abs(lhs)) < 1e-10 * scale
+
+
+
+NEAR_ENDPOINTS = [
+    (-1.0 + 1e-8, 0.1, 1.0 - 1e-8),
+    (-1.0 + 1e-12, -0.5, 0.999999),
+]
+
+
+class TestGradientNearEndpoints:
+    # x - 1 and x + 1 are exact next to +-1, so the closed-form gradient
+    # keeps full accuracy there; p(x) = 1 - x^2 rounds x^2, so -R/(2p)
+    # would lose about eps/(1 - |x|)
+    ALPHA, BETA = 0.3, 1.2
+
+    def _check_against_high_precision(self, x):
+        # error measured against the sum of the terms' sizes, since the
+        # gradient cancels to about 0 at an equilibrium
+        mp = pytest.importorskip("mpmath")
+        a, b = self.ALPHA, self.BETA
+        g = stieltjes_gradient(a, b, Configuration(tuple(x)))
+        with mp.workdps(50):
+            xs = [mp.mpf(float(v)) for v in x]
+            for i, xi in enumerate(xs):
+                terms = [-1 / (xi - xk) for k, xk in enumerate(xs) if k != i]
+                terms += [-(a + 1) / (2 * (xi - 1)), -(b + 1) / (2 * (xi + 1))]
+                size = float(sum(abs(t) for t in terms))
+                assert abs(g[i] - float(sum(terms))) <= 4e-15 * size
+
+    @pytest.mark.parametrize("pts", NEAR_ENDPOINTS)
+    def test_matches_high_precision(self, pts):
+        self._check_against_high_precision(np.array(pts))
+
+    def test_matches_high_precision_at_jacobi100_zeros(self):
+        spec = make_classical(ClassicalFamily.jacobi(self.ALPHA, self.BETA))
+        self._check_against_high_precision(oracle_zeros(spec, 100).as_array())
+
+    @pytest.mark.parametrize("pts", NEAR_ENDPOINTS)
+    def test_jacobi_identity(self, pts):
+        # p written as (1 - x)(1 + x), exact enough next to +-1 for the
+        # identity R = -2 p dE/dx to hold to rounding
+        spec = make_classical(ClassicalFamily.jacobi(self.ALPHA, self.BETA))
+        x = np.array(pts)
+        r = residual(spec, Configuration(pts))
+        g = stieltjes_gradient(self.ALPHA, self.BETA, Configuration(pts))
+        lhs = r + 2.0 * (1.0 - x) * (1.0 + x) * g
+        assert np.max(np.abs(lhs)) < 1e-12 * (1.0 + np.max(np.abs(r)))

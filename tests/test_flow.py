@@ -380,3 +380,8 @@ class TestFlowOptions:
             FlowOptions(t_max=0.0)
         with pytest.raises(ValueError):
             FlowOptions(t_max=1.0, snapshot_stride=0)
+        fields = ("t_max", "residual_tol", "max_steps", "snapshot_stride", "rel_tol", "abs_tol")
+        for name in fields:
+            for bad in (0, -1.0, math.nan):
+                with pytest.raises(ValueError, match=f"FlowOptions.{name} "):
+                    FlowOptions(**{"t_max": 1.0, name: bad})

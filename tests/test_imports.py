@@ -28,3 +28,36 @@ def test_every_export_resolves():
     namespace = {}
     exec("from zeroflow import *", namespace)
     assert set(zeroflow.__all__) <= set(namespace)
+
+
+PUBLIC_NAMES = [
+    "ClassicalFamily", "Configuration", "DegenerateSpectrumError", "Domain",
+    "EquationSpec", "EquilibriumReport", "FamilyTag", "FlowOptions",
+    "InitStrategy", "InsufficientDecay", "MaxIterExceeded", "PointOnBoundary",
+    "PolynomialCoefficients", "PropagatorOverflow", "RateReport",
+    "RootCountMismatch", "SingularJacobian", "Snapshot", "TerminationReason",
+    "Trajectory", "ZeroflowError", "__version__", "check_simple_spectrum",
+    "convergence_options", "default_init", "eigen_coefficients", "eigenvalue",
+    "eigenvalue_gap", "estimate_rate", "heat_propagate", "integrate",
+    "make_classical", "newton_solve", "operator_matrix", "oracle_zeros",
+    "poly_roots", "residual", "residual_jacobian", "stieltjes_energy",
+    "stieltjes_gradient", "verify_theorem1",
+]
+
+
+def test_public_names_pinned():
+    assert len(PUBLIC_NAMES) == 41
+    assert sorted(zeroflow.__all__) == PUBLIC_NAMES
+
+
+def test_each_name_declared_and_defined_in_one_module():
+    modules = [zeroflow.equilibrium, zeroflow.errors, zeroflow.flow,
+               zeroflow.operator_core, zeroflow.spectral]  # fmt: skip
+    for name in zeroflow.__all__:
+        if name == "__version__":
+            continue
+        owners = [m for m in modules if name in m.__all__]
+        assert len(owners) == 1, (name, [m.__name__ for m in owners])
+        obj = getattr(owners[0], name)
+        assert obj.__module__ == owners[0].__name__, name
+        assert getattr(zeroflow, name) is obj

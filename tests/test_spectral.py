@@ -13,6 +13,7 @@ from zeroflow import (
     PolynomialCoefficients,
     PropagatorOverflow,
     RootCountMismatch,
+    check_simple_spectrum,
     eigen_coefficients,
     eigenvalue,
     heat_propagate,
@@ -35,6 +36,15 @@ HEAT_SPECS = [
     ("laguerre", make_classical(ClassicalFamily.laguerre(0.7))),
     ("hermite", HER),
 ]
+
+# some g_k <= 0, so the oracle refuses it, yet its degree-14
+# eigenpolynomial is real-rooted: sympy's count_roots on the exact
+# eigenpolynomial (rational coefficients) finds 14 real roots, 13 of them
+# inside the domain, which is the interval where p > 0
+NOT_CERTIFIED = EquationSpec(
+    -1.307, 1.695, -0.022, -1.483, -0.701,
+    Domain(0.013111918938436757, 1.283751126203109),
+)
 
 # frozen reference values, computed independently to 30 digits
 L3_ZEROS = (0.41577455678347908, 2.2942803602790417, 6.2899450829374792)
@@ -259,6 +269,32 @@ class TestOracleZeros:
         spec = EquationSpec(0.0, 0.0, -1.0, 1.0, 0.0, REAL_LINE)
         with pytest.raises(RootCountMismatch, match="g_1"):
             oracle_zeros(spec, 20)
+
+    def test_uncertified_spec_refused_without_claiming_complex_zeros(self):
+        # g_1 < 0, yet all 14 zeros are real (one outside the domain, see
+        # NOT_CERTIFIED): the refusal names g_1 and claims no more
+        with pytest.raises(RootCountMismatch, match="g_1") as info:
+            oracle_zeros(NOT_CERTIFIED, 14)
+        assert "not real-rooted" not in str(info.value)
+
+    @pytest.mark.parametrize("n", [8, 20])
+    def test_spectrum_checked_once_per_call(self, n, monkeypatch):
+        calls = []
+
+        def spy(spec, m):
+            calls.append(m)
+            return check_simple_spectrum(spec, m)
+
+        monkeypatch.setattr(spectral, "check_simple_spectrum", spy)
+        oracle_zeros(LEG, n)
+        assert calls == [n]
+
+    @pytest.mark.parametrize("n", [8, 20])
+    def test_degenerate_spectrum_raised_first(self, n):
+        # lambda_m = m^2 - 2m: lambda_1 < lambda_0 on both oracle paths
+        spec = EquationSpec(-1.0, 0.0, 1.0, -3.0, 0.0, Domain(-1.0, 1.0))
+        with pytest.raises(DegenerateSpectrumError):
+            oracle_zeros(spec, n)
 
     @pytest.mark.parametrize("name,spec", CLASSICAL_SPECS)
     def test_root_count_and_ordering(self, name, spec):
