@@ -31,11 +31,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _seeds(text: str) -> list[int]:
-    """'1-10' or '1,4,7'."""
-    if "-" in text:
-        first, last = (int(v) for v in text.split("-"))
-        return list(range(first, last + 1))
-    return [int(v) for v in text.split(",")]
+    """Comma-separated seeds and inclusive ranges: '1-10', '1,4,7' or
+    '21-30,101'."""
+    seeds = []
+    for item in text.split(","):
+        first, _, last = item.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
 
 
 def _git(*args: str) -> str:

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage or malformed input, 2 numerical failure,
 3 verification rejected (not an equilibrium).  Every numerical failure,
 including a flow that stops early in solve or rate, prints "error: ..."
 and exits 2; flow writes its CSV and exits 0 when it reaches --t-max.
-rate uses solve --method flow's step tolerances and records every step.
+rate records every step, with step tolerances tied below --tol so that its
+fit window, down to 1e-9 of the initial error, is resolved.
 bench times one cold call per route: a smoke table, not a measurement
 (bench/ and scripts/bench_pair.py measure).  Numbers are serialized with
 17 significant digits so results round-trip exactly; identical arguments
@@ -258,8 +259,17 @@ def cmd_rate(args) -> int:
     gap = eigenvalue_gap(spec, n)
     t_max = args.t_max if args.t_max is not None else min(200.0, max(5.0, 40.0 / gap))
     start = default_init(spec, n, args.init, args.seed)
+    # the fit reads the trajectory itself down to 1e-9 of the initial
+    # error, not just its end point, so the step tolerances follow --tol
+    # two to three orders of magnitude below it (never looser than the
+    # FlowOptions defaults); at the defaults the transient's discretization
+    # error biases sigma_hat low (Hermite, n = 3, equispaced: sigma_hat/gap
+    # 1.94 against 2.00)
     opts = dataclasses.replace(
-        convergence_options(n, t_max, args.tol), snapshot_stride=1
+        convergence_options(n, t_max, args.tol),
+        snapshot_stride=1,
+        rel_tol=min(1e-8, max(1e-13, 1e-2 * args.tol)),
+        abs_tol=min(1e-10, max(1e-15, 1e-3 * args.tol)),
     )
     traj = _converged(integrate(spec, start, opts))
     report = estimate_rate(traj, oracle_zeros(spec, n))

@@ -82,3 +82,11 @@ def test_bound_uses_medians_not_single_pairs():
     change[0] = 1.0
     shift, status = against_bound(PARENT, change, "higher", 0.25)
     assert abs(shift) < 0.02 and status == "within bound"
+
+
+def test_seed_lists_mix_ranges_and_single_seeds():
+    seeds = bench_pair._seeds
+    assert seeds("1-10") == list(range(1, 11))
+    assert seeds("1,4,7") == [1, 4, 7]
+    assert seeds("21-30,101") == list(range(21, 31)) + [101]
+    assert seeds("5") == [5]

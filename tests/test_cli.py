@@ -241,6 +241,23 @@ class TestRateCommand:
         payload = json.loads(out)
         assert payload["sigma_hat"] == pytest.approx(1.0, abs=0.05)
 
+    def test_step_tolerances_tied_to_tol(self, capsys, monkeypatch):
+        # the fit reads the trajectory, so rate keeps step tolerances two
+        # to three orders of magnitude below --tol, unlike solve and flow
+        seen = []
+        integrate = cli.integrate
+
+        def recording(spec, start, opts):
+            seen.append(opts)
+            return integrate(spec, start, opts)
+
+        monkeypatch.setattr(cli, "integrate", recording)
+        code, _, _ = run(capsys, "rate", "--family", "laguerre", "--n", "3", "--tol", "1e-9")
+        assert code == 0 and len(seen) == 1
+        assert seen[0].rel_tol == pytest.approx(1e-11, rel=1e-15)
+        assert seen[0].abs_tol == pytest.approx(1e-12, rel=1e-15)
+        assert seen[0].residual_tol == 1e-9 and seen[0].snapshot_stride == 1
+
     def test_degenerate_spectrum_refused_before_integrating(self, capsys, monkeypatch):
         # lambda_m = m^2 - 2m: lambda_1 = -1 < lambda_0 = 0 although the
         # last gap, lambda_3 - lambda_2 = 3, is positive

@@ -295,6 +295,79 @@ class TestIntegrate:
         assert np.max(np.abs(traj.final.config.as_array() - ref)) < 1e-10
 
 
+def _tied(opts: FlowOptions) -> FlowOptions:
+    """opts with step tolerances tied two to three orders of magnitude
+    below its residual_tol, as zeroflow rate sets them"""
+    tol = opts.residual_tol
+    return replace(
+        opts,
+        rel_tol=min(1e-8, max(1e-13, 1e-2 * tol)),
+        abs_tol=min(1e-10, max(1e-15, 1e-3 * tol)),
+    )
+
+
+def _clumped_start(spec, n, seed):
+    """n points in the middle tenth of default_init's span, with gaps drawn
+    from [0.5, 1.5] times the mean gap (bounded or half-line domains)"""
+    lo, hi = spec.domain.lower, spec.domain.upper
+    if math.isfinite(hi):
+        center, span = 0.5 * (lo + hi), hi - lo
+    else:
+        center, span = lo + 0.5 * (n + 1.0), n + 1.0
+    gaps = np.random.default_rng(seed).uniform(0.5, 1.5, size=n + 1)
+    x = center - span / 20.0 + (span / 10.0) * np.cumsum(gaps)[:-1] / gaps.sum()
+    return Configuration(tuple(x))
+
+
+class TestConvergenceOptions:
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ClassicalFamily.legendre(),
+            ClassicalFamily.jacobi(0.3, 1.2),
+            ClassicalFamily.laguerre(0.5),
+            ClassicalFamily.hermite(),
+            ClassicalFamily.chebyshev_first(),
+        ],
+        ids=["legendre", "jacobi", "laguerre", "hermite", "chebyshev1"],
+    )
+    @pytest.mark.parametrize("n", [5, 30])
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_residual_stop_sets_final_accuracy(self, family, n, tol):
+        # the step tolerances stay at the defaults: the final distance to
+        # the zeros is set by the residual stop, as with tied tolerances
+        # (from the start solve --method flow uses by default)
+        spec = make_classical(family)
+        start = default_init(spec, n)
+        opts = convergence_options(n, 10.0 + 50.0 / eigenvalue_gap(spec, n), tol)
+        assert (opts.rel_tol, opts.abs_tol) == (1e-8, 1e-10)
+        ref = oracle_zeros(spec, n).as_array()
+        dist = []
+        for o in (opts, _tied(opts)):
+            traj = integrate(spec, start, o)
+            assert traj.terminated_by is TerminationReason.CONVERGED
+            dist.append(np.max(np.abs(traj.final.config.as_array() - ref)))
+        assert dist[0] <= 4.0 * dist[1]
+
+    @pytest.mark.parametrize(
+        "family",
+        [ClassicalFamily.jacobi(0.3, 1.2), ClassicalFamily.laguerre(0.5)],
+        ids=["jacobi", "laguerre"],
+    )
+    def test_clumped_start_takes_fewer_steps_than_tied(self, family):
+        # from a clump the expansion is a transient no answer uses; tied
+        # tolerances resolve it to 1e-11 and take more than twice the steps
+        spec = make_classical(family)
+        n = 20
+        start = _clumped_start(spec, n, seed=1)
+        opts = convergence_options(n, 10.0 + 50.0 / eigenvalue_gap(spec, n), 1e-9)
+        fast = integrate(spec, start, opts)
+        tied = integrate(spec, start, _tied(opts))
+        assert fast.terminated_by is TerminationReason.CONVERGED
+        assert tied.terminated_by is TerminationReason.CONVERGED
+        assert fast.accepted_steps <= 0.6 * tied.accepted_steps
+
+
 class TestHeatFlowConsistency:
     @pytest.mark.parametrize("name,spec", CLASSICAL_SPECS[:4])
     def test_roots_of_propagated_polynomial_match_flow(self, name, spec, rng):
