@@ -1,11 +1,16 @@
 """Command-line front end: solve, flow, verify, rate, and bench.
 
 Exit codes: 0 success, 1 usage or malformed input, 2 numerical failure,
-3 verification rejected (not an equilibrium).  Every numerical failure,
-including a flow that stops early in solve or rate, prints "error: ..."
-and exits 2; flow writes its CSV and exits 0 when it reaches --t-max.
-rate records every step, with step tolerances tied below --tol so that its
-fit window, down to 1e-9 of the initial error, is resolved.
+3 verification rejected (not an equilibrium).  A usage error prints the
+usage and its reason; a bad argument value, or a points file or --output
+path that cannot be read or written, prints "error: ..." and exits 1.
+Every numerical failure, including a flow that stops early in solve or
+rate, prints "error: ..." and exits 2; flow writes its CSV and exits 0
+when it reaches --t-max.  rate asks the oracle for its reference zeros
+before it integrates, so a spec the oracle refuses is refused with the
+oracle's reason; it records every step, with step tolerances tied below
+--tol so that its fit window, down to 1e-9 of the initial error, is
+resolved.
 bench times one cold call per route: a smoke table, not a measurement
 (bench/ and scripts/bench_pair.py measure).  Numbers are serialized with
 17 significant digits so results round-trip exactly; identical arguments
@@ -44,7 +49,6 @@ from .operator_core import (
     Domain,
     EquationSpec,
     FamilyTag,
-    check_simple_spectrum,
     eigenvalue,
     eigenvalue_gap,
     make_classical,
@@ -60,14 +64,6 @@ _NOT_EQUILIBRIUM_EXIT = 3
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; this tool reserves 2 for
-    # numerical failures and uses 1 for usage problems
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(_USAGE_EXIT)
 
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
@@ -234,13 +230,9 @@ def cmd_flow(args) -> int:
 
 def cmd_verify(args) -> int:
     spec, _ = _build_spec(args)
-    try:
-        with open(args.points_file, encoding="utf-8") as fh:
-            pts = [float(line) for line in fh if line.strip()]
-        config = Configuration(tuple(pts))
-    except (OSError, ValueError) as exc:
-        print(f"malformed points file: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
+    with open(args.points_file, encoding="utf-8") as fh:
+        pts = [float(line) for line in fh if line.strip()]
+    config = Configuration(tuple(pts))
     report = verify_theorem1(spec, config, tol=args.tol)
     print(f"n               : {config.n}")
     print(f"lambda          : {_fmt(report.lambda_recovered)}")
@@ -253,9 +245,9 @@ def cmd_verify(args) -> int:
 def cmd_rate(args) -> int:
     spec, desc = _build_spec(args)
     n = args.n
-    defect = check_simple_spectrum(spec, n)
-    if defect is not None:
-        raise defect
+    # the oracle refuses a degenerate spectrum or a spec without a positive
+    # weight before anything is integrated
+    reference = oracle_zeros(spec, n)
     gap = eigenvalue_gap(spec, n)
     t_max = args.t_max if args.t_max is not None else min(200.0, max(5.0, 40.0 / gap))
     start = default_init(spec, n, args.init, args.seed)
@@ -272,7 +264,7 @@ def cmd_rate(args) -> int:
         abs_tol=min(1e-10, max(1e-15, 1e-3 * args.tol)),
     )
     traj = _converged(integrate(spec, start, opts))
-    report = estimate_rate(traj, oracle_zeros(spec, n))
+    report = estimate_rate(traj, reference)
     opts_desc = {"t_max": t_max, "tol": args.tol, "init": args.init}
     payload = {
         "sigma_hat": report.sigma_hat,
@@ -335,8 +327,8 @@ def _add_run_args(
     p.add_argument("--output", default=None)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="zeroflow", description=__doc__)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="zeroflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="compute eigenpolynomial zeros")
@@ -384,15 +376,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse has printed the usage and its reason; it exits with 2,
+        # which this tool keeps for numerical failures
+        return _USAGE_EXIT if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, ZeroflowError) as exc:
-        kind = (
-            _NUMERIC_EXIT if isinstance(exc, ZeroflowError) else _USAGE_EXIT
-        )
+    except (OSError, ValueError, ZeroflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return kind
+        return _NUMERIC_EXIT if isinstance(exc, ZeroflowError) else _USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -71,6 +71,33 @@ class TestSolve:
         )
         assert code == 1 and "t_max must be positive" in err and out == ""
 
+    def test_usage_errors_print_reason(self, capsys):
+        code, _, err = run(capsys, "solve", "--family", "hermite")
+        assert code == 1 and "the following arguments are required: --n" in err
+        code, _, err = run(
+            capsys, "solve", "--family", "hermite", "--n", "3", "--tol", "abc"
+        )
+        assert code == 1 and "invalid float value" in err
+        code, out, _ = run(capsys, "solve", "--help")
+        assert code == 0 and "--method" in out
+
+    @pytest.mark.parametrize(
+        "p", ["-1", "-1,0,-1", "-1,0,1"],
+        ids=["nonpositive_constant", "negative_everywhere", "two_intervals"],
+    )
+    def test_no_default_domain_exit_1(self, capsys, p):
+        code, out, err = run(capsys, "solve", f"--p={p}", "--q=0,1", "--n", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "pass --domain explicitly" in err
+
+    def test_unwritable_output_exit_1(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "solve", "--family", "hermite", "--n", "3",
+            "--output", str(tmp_path / "missing" / "x.json"),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_json_deterministic_up_to_timestamp(self, capsys):
         outs = []
         for _ in range(2):
@@ -203,6 +230,13 @@ class TestVerifyCommand:
         f.write_text("0.5\n0.1\n")  # not increasing
         assert run(capsys, "verify", "--family", "legendre", str(f))[0] == 1
 
+    def test_missing_file_exit_1(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "verify", "--family", "legendre", str(tmp_path / "none.txt")
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
     def test_roundtrip_solve_then_verify(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "solve", "--family", "jacobi", "--alpha", "0.3", "--beta",
@@ -268,6 +302,18 @@ class TestRateCommand:
         code, out, err = run(capsys, "rate", "--p", "1,0,-1", "--q", "0,-3", "--n", "3")
         assert code == 2 and out == ""
         assert err == "error: degenerate spectrum: lambda_0=0 and lambda_1=-1 are not strictly increasing\n"
+
+    def test_no_positive_weight_refused_before_integrating(self, capsys, monkeypatch):
+        # p = -1, q = x: the oracle's recurrence has g_1 = -1 <= 0
+        def no_flow(*args):
+            raise AssertionError("integrate called")
+
+        monkeypatch.setattr(cli, "integrate", no_flow)
+        code, out, err = run(
+            capsys, "rate", "--p=-1,0,0", "--q=0,1", "--domain=-inf,inf", "--n", "20"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "g_1" in err
 
 
 class TestBenchCommand:

@@ -142,6 +142,10 @@ class TestIntegrate:
         for snap in traj.snapshots:
             assert np.all(np.diff(snap.config.as_array()) > 0)
 
+    def test_start_outside_domain_rejected(self):
+        with pytest.raises(ValueError, match="inside the open domain"):
+            integrate(LEG, Configuration((0.5, 1.5)), FlowOptions(t_max=1.0))
+
     def test_max_time_termination(self):
         traj = integrate(
             HER, Configuration((5.0,)), FlowOptions(t_max=0.5, residual_tol=1e-14)

@@ -13,6 +13,7 @@ from zeroflow import (
     PolynomialCoefficients,
     PropagatorOverflow,
     RootCountMismatch,
+    ZeroflowError,
     check_simple_spectrum,
     eigen_coefficients,
     eigenvalue,
@@ -276,6 +277,13 @@ class TestOracleZeros:
         with pytest.raises(RootCountMismatch, match="g_1") as info:
             oracle_zeros(NOT_CERTIFIED, 14)
         assert "not real-rooted" not in str(info.value)
+
+    def test_root_outside_domain_refused(self):
+        # p = 1, q = x on the half-line: the Hermite-like zeros are symmetric
+        # about 0, so those at and below 0 lie outside (0, inf)
+        spec = EquationSpec(0.0, 0.0, 1.0, 1.0, 0.0, Domain(0.0, math.inf))
+        with pytest.raises(ZeroflowError, match=r"root -5\.80017 lies outside .*\(0, inf\)"):
+            oracle_zeros(spec, 13)
 
     @pytest.mark.parametrize("n", [8, 20])
     def test_spectrum_checked_once_per_call(self, n, monkeypatch):
