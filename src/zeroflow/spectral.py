@@ -2,12 +2,12 @@
 
 Because the operator matrix is upper triangular with the eigenvalues on the
 diagonal, the monic eigenvectors for lambda_0 .. lambda_n follow from one
-back-substitution (eigenbasis_matrix); eigen_coefficients takes the last
-column, whose real roots are then isolated by sign changes on a refining
-grid and found by Newton steps kept inside each sign-change bracket, down to
-the round-off floor of the Horner evaluation.  heat_propagate evolves
-arbitrary polynomial coefficients exactly under exp(t M) through the same
-eigenbasis, with no time stepping.
+back-substitution (eigenbasis_matrix); eigen_coefficients back-substitutes
+the last column alone, whose real roots are then isolated by sign changes
+on a refining grid and found by Newton steps kept inside each sign-change
+bracket, down to the round-off floor of the Horner evaluation.
+heat_propagate evolves arbitrary polynomial coefficients exactly under
+exp(t M) through the whole eigenbasis, with no time stepping.
 
 Two paths, chosen by degree: monomial coefficients of high-degree
 polynomials whose roots fill an interval are catastrophically ill-conditioned
@@ -16,8 +16,9 @@ machine epsilon).  So oracle_zeros runs back-substitution and bracketing only
 up to F64_ORACLE_LIMIT.  Beyond it the zeros are the eigenvalues of the
 symmetric tridiagonal Jacobi matrix of the eigenpolynomials' three-term
 recurrence, whose coefficients follow from p and q in closed form (Golub &
-Welsch 1969), polished by one Newton step on that recurrence.  Both paths run
-in double precision.
+Welsch 1969), polished by one Newton step on that recurrence, which it
+evaluates for all zeros at once and rescales by exact powers of two
+(_newton_correction).  Both paths run in double precision.
 """
 
 from __future__ import annotations
@@ -122,11 +123,25 @@ def eigenbasis_matrix(spec: EquationSpec, n: int) -> np.ndarray:
 
 def eigen_coefficients(spec: EquationSpec, n: int) -> PolynomialCoefficients:
     """Monic eigenvector of the operator matrix for lambda_n: the last
-    column of eigenbasis_matrix(spec, n).
+    column of eigenbasis_matrix(spec, n), to the last bit.
 
-    Requires a simple increasing spectrum up to n.
+    Back-substitutes that column alone, with the bands of operator_matrix
+    and the operations of eigenbasis_matrix in the same order.  The loop
+    runs on Python floats: at the degrees the oracle uses it for (n <= 12),
+    numpy's per-call cost outweighs the arithmetic.  Requires a simple
+    increasing spectrum up to n.
     """
-    return PolynomialCoefficients(tuple(eigenbasis_matrix(spec, n)[:, n]))
+    _require_simple(spec, n)
+    M = operator_matrix(spec, n)
+    lam = np.diag(M).tolist()
+    band1, band2 = np.diag(M, 1).tolist(), np.diag(M, 2).tolist()
+    c = [0.0] * n + [1.0]
+    for j in range(n - 1, -1, -1):
+        row = band1[j] * c[j + 1]
+        if j + 2 <= n:
+            row += band2[j] * c[j + 2]
+        c[j] = row / (lam[n] - lam[j])
+    return PolynomialCoefficients(tuple(c))
 
 
 def _samuelson_interval(c: np.ndarray) -> tuple[float, float]:
@@ -300,6 +315,44 @@ def _recurrence(spec: EquationSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     return b, g
 
 
+def _newton_correction(b: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """delta = P_n(x) / P_n'(x) at every point of x, for the orthonormal
+    recurrence s_k P_(k+1) = (x - b_k) P_k - s_(k-1) P_(k-1), P_0 = 1,
+    P_(-1) = 0, with n = len(b) and s = sqrt(g) (see _recurrence).
+
+    (P_k, P_k') and (P_(k-1), P_(k-1)') are two (2, len(x)) arrays, updated
+    by one set of array operations per k.  Every 8th k, each point's two
+    pairs are multiplied by 2^(-e), with e the binary exponent (np.frexp) of
+    that point's largest entry.  A power of two scales exactly, so delta is
+    the ratio the unscaled recurrence would give, to the last bit, wherever
+    that one stays inside double range (Hermite at n = 1000 reaches about
+    e^1000).  Between rescales one step multiplies P by at most
+    (|x - b_k| + s_(k-1)) / s_k, and P' by that plus its product-rule term
+    P_k / s_k.  Rescaling the spec (x, b and s by sigma, P' by 1/sigma)
+    leaves these ratios unchanged, so any scale of spec is safe; eight
+    steps overflow only if a ratio passes 2^127.
+    """
+    n = len(b)
+    bs = b.tolist()
+    # the last step skips the normalisation: P_n / P_n' does not need it
+    up = s.tolist() + [1.0]
+    down = [0.0] + s.tolist()
+    cur = np.zeros((2, len(x)))
+    cur[0] = 1.0
+    prev = np.zeros_like(cur)
+    for k in range(n):
+        nxt = (x - bs[k]) * cur
+        nxt -= down[k] * prev
+        nxt[1] += cur[0]
+        nxt /= up[k]
+        prev, cur = cur, nxt
+        if k % 8 == 7:
+            e = np.frexp(np.maximum(np.abs(cur), np.abs(prev)).max(axis=0))[1]
+            cur = np.ldexp(cur, -e)
+            prev = np.ldexp(prev, -e)
+    return cur[0] / cur[1]
+
+
 def _recurrence_zeros(spec: EquationSpec, n: int) -> Configuration:
     """Zeros as the eigenvalues of the symmetric tridiagonal Jacobi matrix
     (Golub & Welsch 1969), polished by one Newton step.
@@ -308,11 +361,9 @@ def _recurrence_zeros(spec: EquationSpec, n: int) -> Configuration:
     makes the eigenpolynomials orthogonal, and with it real, simple zeros.
     The converse does not hold: a spec with some g_k <= 0 may still have n
     real zeros, but nothing certifies them, so it is refused before any
-    eigen-solve.  The Newton step evaluates P_n and P_n' by the orthonormal
-    recurrence; the state (P_(k-1), P_k, P'_(k-1), P'_k) is rescaled by one
-    common factor at every k, which leaves the ratio P_n / P_n' exact and
-    keeps the values inside double range (Hermite at n = 1000 reaches about
-    e^1000).
+    eigen-solve.  The Newton step is x - _newton_correction(b, s, x): the
+    orthonormal recurrence gives P_n / P_n' at every eigenvalue at once,
+    rescaled by exact powers of two on the way.
     Raises DegenerateSpectrumError unless the spectrum is simple and
     increasing up to n.
     """
@@ -330,20 +381,7 @@ def _recurrence_zeros(spec: EquationSpec, n: int) -> Configuration:
         )
     s = np.sqrt(g)
     x = np.linalg.eigvalsh(np.diag(b) + np.diag(s, 1) + np.diag(s, -1))
-
-    p_prev, p = np.zeros_like(x), np.ones_like(x)
-    d_prev, d = np.zeros_like(x), np.zeros_like(x)
-    for j in range(n):
-        # the last step skips the normalisation: P_n / P_n' does not need it
-        up = s[j] if j < n - 1 else 1.0
-        down = s[j - 1] if j > 0 else 0.0
-        p_next = ((x - b[j]) * p - down * p_prev) / up
-        d_next = ((x - b[j]) * d + p - down * d_prev) / up
-        scale = np.abs(p) + np.abs(p_next)
-        p_prev, p = p / scale, p_next / scale
-        d_prev, d = d / scale, d_next / scale
-    x = x - p / d
-
+    x = x - _newton_correction(b, s, x)
     if np.any(np.diff(x) <= 0.0):
         raise RootCountMismatch(n, len(np.unique(x)), "roots merged")
     return Configuration(tuple(x))
@@ -386,7 +424,7 @@ def heat_propagate(
     the result is exact up to round-off.  lambda_n * t is capped at 700 to
     stay within double range.
     """
-    if t < 0:
+    if not t >= 0:  # also refuses NaN, before any arithmetic
         raise ValueError("propagation time must be nonnegative")
     n = coeffs.degree
     Y = eigenbasis_matrix(spec, n)

@@ -2,6 +2,7 @@
 the bytes it compares."""
 
 import importlib.util
+import math
 import pathlib
 
 from zeroflow import (
@@ -68,3 +69,35 @@ def test_points_and_coefficients_to_the_last_bit():
     assert result_bytes(Configuration((0.0, 1.0))) != result_bytes(Configuration((-0.0, 1.0)))
     coeffs = PolynomialCoefficients((1.0, 2.0))
     assert result_bytes((coeffs, None)) != result_bytes((coeffs, Configuration((-0.5,))))
+
+
+move = same_results.move
+largest_moves = same_results.largest_moves
+
+
+def test_one_ulp_move_reads_at_most_one():
+    xs = [0.0, 1e-300, 0.3, 1.0, -1.0, 1.9999999999999998, 3.0, -7.5e5, 1e300]
+    for direction in (math.inf, -math.inf):
+        moved = [math.nextafter(x, direction) for x in xs]
+        assert 0.0 < move(xs, moved) <= 1.0, direction
+    assert move(xs, list(xs)) == 0.0
+    assert move([1.0], [math.nextafter(1.0, 2.0)]) == 1.0
+
+
+def test_move_of_answers_that_cannot_be_compared():
+    assert move([1.0], [math.inf]) == math.inf
+    assert move([1.0], [1.0, 2.0]) == math.inf
+    assert move(None, [1.0]) == move([1.0], None) == math.inf
+
+
+def test_largest_moves_count_differing_cases_per_workload():
+    step = math.nextafter(2.0, 3.0) - 2.0  # 2 eps
+    parent = [["oracle", 1, 0, "aa", [2.0, 5.0]], ["oracle", 1, 1, "bb", [1.0]],
+              ["oracle", 3, 0, "cc", [1.0]], ["heat", 1, 0, "dd", [0.5]]]  # fmt: skip
+    change = [["oracle", 1, 0, "xx", [2.0, 5.0 + 2 * step]], ["oracle", 1, 1, "yy", [2.0]],
+              ["oracle", 3, 0, "cc", [1.0]], ["heat", 1, 0, "dd", [0.5]]]  # fmt: skip
+    differ, cases, worst, where = largest_moves(parent, change)["oracle"]
+    assert (differ, cases, where) == (2, 3, (1, 1))
+    assert worst == 1.0 / same_results.EPS
+    assert largest_moves(parent, [list(row) for row in parent]) == {}
+    assert largest_moves(parent, parent[:-1])["heat"] == (1, 1, math.inf, (1, 0))

@@ -26,7 +26,13 @@ from zeroflow import (
 )
 from zeroflow import spectral
 from zeroflow.operator_core import REAL_LINE
-from zeroflow.spectral import F64_ORACLE_LIMIT, _recurrence_zeros, eigenbasis_matrix
+from zeroflow.spectral import (
+    F64_ORACLE_LIMIT,
+    _newton_correction,
+    _recurrence,
+    _recurrence_zeros,
+    eigenbasis_matrix,
+)
 from conftest import CLASSICAL_SPECS
 
 LAG = make_classical(ClassicalFamily.laguerre(0.0))
@@ -336,6 +342,61 @@ class TestOracleZeros:
             oracle_zeros(LEG, 0)
 
 
+KERNEL_SPECS = [
+    ("legendre", LEG),
+    ("jacobi(0.3,1.2)", make_classical(ClassicalFamily.jacobi(0.3, 1.2))),
+    ("laguerre(0)", LAG),
+    ("hermite", HER),
+]
+
+
+def newton_correction(spec, n, x):
+    b, g = _recurrence(spec, n)
+    return _newton_correction(b, np.sqrt(g), x)
+
+
+class TestNewtonCorrection:
+    """delta = P_n(x) / P_n'(x), the polish of the recurrence oracle."""
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    @pytest.mark.parametrize("name,spec", KERNEL_SPECS)
+    def test_vanishes_at_the_oracle_zeros(self, name, spec, n):
+        # n = 10 takes its zeros from the monomial path, so this also
+        # checks the two oracle paths against each other
+        x = oracle_zeros(spec, n).as_array()
+        delta = newton_correction(spec, n, x)
+        assert np.max(np.abs(delta)) <= 2e-14 * max(1.0, np.max(np.abs(x))), name
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    @pytest.mark.parametrize("name,spec", KERNEL_SPECS)
+    def test_reads_the_move_of_a_moved_zero(self, name, spec, n):
+        # delta_i depends on x_i alone, so three zeros move at once
+        x = oracle_zeros(spec, n).as_array()
+        moved = [0, n // 2, n - 1]
+        for share in (1e-3, 1e-9):
+            step = share * np.min(np.diff(x))
+            y = x.copy()
+            y[moved] += step
+            delta = newton_correction(spec, n, y)
+            np.testing.assert_allclose(delta[moved], step, rtol=0.01, err_msg=f"{name} {share}")
+
+    @pytest.mark.filterwarnings("error")
+    def test_any_scale_of_spec(self):
+        # Hermite with p = sigma^2: the zeros scale by sigma, and the
+        # recurrence's per-step growth does not change
+        want = oracle_zeros(HER, 1000).as_array()
+        for sigma in (2.0**500, 2.0**-500):
+            spec = EquationSpec(0.0, 0.0, sigma * sigma, 1.0, 0.0, REAL_LINE)
+            got = oracle_zeros(spec, 1000).as_array() / sigma
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), sigma
+
+    @pytest.mark.filterwarnings("error")
+    def test_laguerre_degree_2000_stays_finite(self):
+        x = oracle_zeros(LAG, 2000).as_array()
+        assert np.all(np.isfinite(x))
+        assert np.max(x) == pytest.approx(7927.9, abs=0.05)
+
+
 class TestHeatPropagate:
     def test_t_zero_identity(self):
         c = PolynomialCoefficients((-2.0, 1.0, 1.0))
@@ -404,6 +465,11 @@ class TestHeatPropagate:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             heat_propagate(LEG, PolynomialCoefficients((0.0, 1.0)), -0.1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_time_rejected_before_any_arithmetic(self):
+        with pytest.raises(ValueError, match="propagation time must be nonnegative"):
+            heat_propagate(LEG, PolynomialCoefficients((0.0, 1.0)), math.nan)
 
     def test_degenerate_spectrum_propagates(self):
         spec = EquationSpec(0.0, 0.0, 1.0, 0.0, 0.0, Domain(-1, 1))
