@@ -88,7 +88,10 @@ def verdict(parent: list[float], change: list[float], better: str) -> str:
     and its median is better than the parent's by more than the parent's
     interquartile spread; slower is the same rule the other way round.
     For a metric that is not a time, faster means better in its direction.
+    Fewer than ten pairs cannot meet the nine-in-ten rule: unresolved.
     """
+    if len(parent) < 10:
+        return "unresolved"
     sign = 1.0 if better == "higher" else -1.0
     gain = sign * (np.asarray(change, float) - np.asarray(parent, float))
     q1, q3 = np.percentile(parent, [25, 75])

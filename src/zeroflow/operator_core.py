@@ -270,14 +270,21 @@ def operator_matrix(spec: EquationSpec, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("degree bound must be nonnegative")
     M = np.zeros((n + 1, n + 1))
-    for m in range(n + 1):
-        M[m, m] = eigenvalue(spec, m)
-        if m >= 1:
-            M[m - 1, m] = m * (spec.q0 - spec.p1 * m)
-        if m >= 2:
-            M[m - 2, m] = -spec.p0 * m * (m - 1)
+    # band k is the k-th superdiagonal; fill_diagonal keeps the signed zeros
+    for k, band in enumerate(_bands(spec, n)):
+        np.fill_diagonal(M[:, k:], band)
     M.flags.writeable = False
     return M
+
+
+def _bands(spec: EquationSpec, n: int) -> tuple[list[float], list[float], list[float]]:
+    """operator_matrix's diagonals M[j][j+k], k = 0, 1, 2, as lists of
+    Python floats indexed by row j; entry j does not depend on n."""
+    return (
+        [eigenvalue(spec, m) for m in range(n + 1)],
+        [m * (spec.q0 - spec.p1 * m) for m in range(1, n + 1)],
+        [-spec.p0 * m * (m - 1) for m in range(2, n + 1)],
+    )
 
 
 def check_simple_spectrum(

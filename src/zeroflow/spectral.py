@@ -1,9 +1,10 @@
 """Independent spectral route to eigenpolynomial zeros.
 
 Because the operator matrix is upper triangular with the eigenvalues on the
-diagonal, the monic eigenvectors for lambda_0 .. lambda_n follow from one
-back-substitution (eigenbasis_matrix); eigen_coefficients back-substitutes
-the last column alone, whose real roots are then isolated by sign changes
+diagonal, the monic eigenvector for lambda_k follows by back-substitution
+over the matrix's three bands, one column loop (_monic_column) that serves
+eigen_coefficients and every column of eigenbasis_matrix.  The real roots
+of eigen_coefficients' polynomial are then isolated by sign changes
 on a refining grid and found by Newton steps kept inside each sign-change
 bracket, down to the round-off floor of the Horner evaluation.
 heat_propagate evolves arbitrary polynomial coefficients exactly under
@@ -34,9 +35,9 @@ from .errors import PropagatorOverflow, RootCountMismatch, ZeroflowError
 from .operator_core import (
     Domain,
     EquationSpec,
+    _bands,
     check_simple_spectrum,
     eigenvalue,
-    operator_matrix,
 )
 
 __all__ = [
@@ -96,52 +97,45 @@ def _require_simple(spec: EquationSpec, n: int) -> None:
         raise defect
 
 
+def _monic_column(bands: tuple[list[float], ...], k: int) -> list[float]:
+    """Monic degree-k eigenpolynomial (ascending) from the bands of the
+    operator matrix up to any n >= k (_bands): c_k = 1 and, upward,
+
+        c_j = (M[j][j+1] c_(j+1) + M[j][j+2] c_(j+2)) / (lambda_k - lambda_j)
+
+    Row j reads rows below it only, so the column does not depend on n.
+    Python floats: at these degrees numpy's per-call cost would dominate.
+    """
+    lam, band1, band2 = bands
+    c = [0.0] * k + [1.0]
+    for j in range(k - 1, -1, -1):
+        row = band1[j] * c[j + 1]
+        if j + 2 <= k:
+            row += band2[j] * c[j + 2]
+        c[j] = row / (lam[k] - lam[j])
+    return c
+
+
 def eigenbasis_matrix(spec: EquationSpec, n: int) -> np.ndarray:
     """Unit upper triangular matrix whose column k holds the monic degree-k
-    eigenpolynomial's coefficients (ascending, zero padded), k = 0 .. n.
-
-    With M upper triangular and two bands above the diagonal, set the
-    diagonal to 1 and solve upward, one row for every column at once:
-
-        Y[j][k] = (M[j][j+1] Y[j+1][k] + M[j][j+2] Y[j+2][k])
-                  / (lambda_k - lambda_j),    k > j
-
-    Each entry depends on k and on rows below j only, so column k does not
-    depend on n.  Requires a simple increasing spectrum up to n.
+    eigenpolynomial's coefficients (ascending, zero padded), k = 0 .. n:
+    _monic_column for each k.  Requires a simple increasing spectrum up to n.
     """
     _require_simple(spec, n)
-    M = operator_matrix(spec, n)
-    lam = np.diag(M)
-    Y = np.eye(n + 1)
-    for j in range(n - 1, -1, -1):
-        row = M[j, j + 1] * Y[j + 1, j + 1 :]
-        if j + 2 <= n:
-            row += M[j, j + 2] * Y[j + 2, j + 1 :]
-        Y[j, j + 1 :] = row / (lam[j + 1 :] - lam[j])
+    bands = _bands(spec, n)
+    Y = np.zeros((n + 1, n + 1))
+    for k in range(n + 1):
+        Y[: k + 1, k] = _monic_column(bands, k)
     return Y
 
 
 def eigen_coefficients(spec: EquationSpec, n: int) -> PolynomialCoefficients:
-    """Monic eigenvector of the operator matrix for lambda_n: the last
-    column of eigenbasis_matrix(spec, n), to the last bit.
-
-    Back-substitutes that column alone, with the bands of operator_matrix
-    and the operations of eigenbasis_matrix in the same order.  The loop
-    runs on Python floats: at the degrees the oracle uses it for (n <= 12),
-    numpy's per-call cost outweighs the arithmetic.  Requires a simple
-    increasing spectrum up to n.
+    """Monic eigenvector of the operator matrix for lambda_n (_monic_column),
+    the last column of eigenbasis_matrix(spec, n) to the last bit.
+    Requires a simple increasing spectrum up to n.
     """
     _require_simple(spec, n)
-    M = operator_matrix(spec, n)
-    lam = np.diag(M).tolist()
-    band1, band2 = np.diag(M, 1).tolist(), np.diag(M, 2).tolist()
-    c = [0.0] * n + [1.0]
-    for j in range(n - 1, -1, -1):
-        row = band1[j] * c[j + 1]
-        if j + 2 <= n:
-            row += band2[j] * c[j + 2]
-        c[j] = row / (lam[n] - lam[j])
-    return PolynomialCoefficients(tuple(c))
+    return PolynomialCoefficients(tuple(_monic_column(_bands(spec, n), n)))
 
 
 def _samuelson_interval(c: np.ndarray) -> tuple[float, float]:
@@ -286,9 +280,10 @@ def _recurrence(spec: EquationSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     A simple spectrum up to n keeps c(s) != 0 for 2 <= s <= 2n, so only b_0
     (c(0), zero when q1 = 0) and g_1 (c(1), zero when q1 = p2) can be 0/0.
     Those two come from the top coefficients y_k = x^k + a_k x^(k-1) +
-    e_k x^(k-2) + ... instead.  The same differences at every k
-    (b_k = a_k - a_(k+1), g_k = e_k - e_(k+1) - b_k a_k) would cancel at high
-    degree, where a_k and e_k grow like k^2 and k^4.
+    e_k x^(k-2) + ... of y_1 and y_2 (_monic_column) instead.  The same
+    differences at every k (b_k = a_k - a_(k+1), g_k = e_k - e_(k+1) -
+    b_k a_k) would cancel at high degree, where a_k and e_k grow like k^2
+    and k^4.
     """
     p2, p1, p0, q1, q0 = spec.p2, spec.p1, spec.p0, spec.q1, spec.q0
 
@@ -303,14 +298,11 @@ def _recurrence(spec: EquationSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
             m * c(m) * (p0 * c(2 * m) ** 2 + m * p1 * p1 * c(m) + q0 * (p2 * q0 - p1 * q1))
             / (c(2 * m) ** 2 * c(2 * m - 1) * c(2 * m + 1))
         )
-    # a_k = k (q0 - p1 k) / (lambda_k - lambda_(k-1)) and
-    # e_2 = ((q0 - p1) a_2 - 2 p0) / (lambda_2 - lambda_0), from the
-    # operator matrix by back-substitution
-    a1 = (q0 - p1) / c(2)
+    bands = _bands(spec, min(n, 2))
+    a1, _ = _monic_column(bands, 1)
     b[0] = -a1
     if n >= 2:
-        a2 = 2 * (q0 - 2 * p1) / c(4)
-        e2 = ((q0 - p1) * a2 - 2 * p0) / (2 * c(3))
+        e2, a2, _ = _monic_column(bands, 2)
         g[0] = -e2 - (a1 - a2) * a1
     return b, g
 
@@ -396,7 +388,7 @@ def oracle_zeros(spec: EquationSpec, n: int) -> Configuration:
     """
     if n < 1:
         raise ValueError("oracle_zeros requires n >= 1")
-    # either path checks the spectrum first: eigenbasis_matrix or
+    # either path checks the spectrum first: eigen_coefficients or
     # _recurrence_zeros
     if n <= F64_ORACLE_LIMIT:
         config = poly_roots(eigen_coefficients(spec, n), spec.domain)

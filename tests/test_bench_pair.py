@@ -30,6 +30,13 @@ def test_nine_of_ten_is_enough_and_eight_is_not():
     assert verdict(PARENT, eight, "higher") == "unresolved"
 
 
+def test_fewer_than_ten_pairs_are_unresolved():
+    # five pairs all won by a wide margin: too few for nine of ten
+    change = [v + 20.0 for v in PARENT[:5]]
+    assert verdict(PARENT[:5], change, "higher") == "unresolved"
+    assert verdict(PARENT[:5], change, "lower") == "unresolved"
+
+
 def test_ties_count_for_neither_side():
     # 8 wins and 2 ties: 8/10 wins, short of nine tenths
     change = [v + 20.0 for v in PARENT[:8]] + PARENT[8:]

@@ -1,8 +1,15 @@
+import ast
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
+import pytest
+
 import zeroflow
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_import_loads_neither_scipy_nor_mpmath():
@@ -61,3 +68,35 @@ def test_each_name_declared_and_defined_in_one_module():
         obj = getattr(owners[0], name)
         assert obj.__module__ == owners[0].__name__, name
         assert getattr(zeroflow, name) is obj
+
+
+# modules of this repository that the test modules import by plain name
+LOCAL_MODULES = {"zeroflow", "conftest", "reference", "workloads"}
+
+
+def test_every_third_party_test_import_is_declared():
+    # a fresh `pip install -e '.[test]'` must be able to collect the suite
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    # each distribution here installs a module of its own name
+    declared = {re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in requirements}
+    known = sys.stdlib_module_names | LOCAL_MODULES | declared
+    files = sorted(ROOT.glob("tests/*.py")) + [
+        ROOT / "bench" / name
+        for name in ("test_reference.py", "reference.py", "workloads.py")
+    ]
+    undeclared = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in known:
+                    undeclared.add((path.relative_to(ROOT).as_posix(), top))
+    assert sorted(undeclared) == []

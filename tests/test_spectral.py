@@ -355,6 +355,43 @@ def newton_correction(spec, n, x):
     return _newton_correction(b, np.sqrt(g), x)
 
 
+# (b_0, g_1) of the monic recurrence; the closed forms of _recurrence are
+# 0/0 for Legendre's b_0 and Chebyshev-1's g_1
+START_VALUES = [
+    ("legendre", LEG, 0.0, 1.0 / 3.0),
+    ("chebyshev1", make_classical(ClassicalFamily.chebyshev_first()), 0.0, 0.5),
+    ("hermite", HER, 0.0, 1.0),
+] + [
+    (f"laguerre({a})", make_classical(ClassicalFamily.laguerre(a)), 1.0 + a, 1.0 + a)
+    for a in (0.0, 0.5, 2.0)
+]
+START_SPECS = [row[:2] for row in START_VALUES]
+
+
+class TestRecurrenceStart:
+    """b_0 and g_1, which _recurrence takes from back-substituted columns."""
+
+    @pytest.mark.parametrize("name,spec,b0,g1", START_VALUES)
+    def test_start_values(self, name, spec, b0, g1):
+        b, g = _recurrence(spec, 2)
+        assert abs(b[0] - b0) <= 2 * math.ulp(b0), name
+        assert abs(g[0] - g1) <= 2 * math.ulp(g1), name
+
+    @pytest.mark.parametrize("name,spec", START_SPECS)
+    def test_degree_one_zero_is_the_monic_root(self, name, spec):
+        want = -eigen_coefficients(spec, 1).coeffs[0]
+        assert _recurrence_zeros(spec, 1).points == (want,), name
+
+    @pytest.mark.parametrize("name,spec", START_SPECS)
+    def test_degree_two_zeros_are_the_quadratic_roots(self, name, spec):
+        e2, a2, _ = eigen_coefficients(spec, 2).coeffs
+        half = math.sqrt(a2 * a2 / 4.0 - e2)
+        want = np.array([-a2 / 2.0 - half, -a2 / 2.0 + half])
+        got = _recurrence_zeros(spec, 2).as_array()
+        tol = 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(want))
+        assert np.all(np.abs(got - want) <= tol), (name, got, want)
+
+
 class TestNewtonCorrection:
     """delta = P_n(x) / P_n'(x), the polish of the recurrence oracle."""
 
