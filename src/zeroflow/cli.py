@@ -49,6 +49,7 @@ from .operator_core import (
     Domain,
     EquationSpec,
     FamilyTag,
+    _real_roots,
     eigenvalue,
     eigenvalue_gap,
     make_classical,
@@ -60,6 +61,10 @@ log = logging.getLogger("zeroflow")
 _USAGE_EXIT = 1
 _NUMERIC_EXIT = 2
 _NOT_EQUILIBRIUM_EXIT = 3
+
+# the routes solve --method and bench --methods accept, in bench's order
+_ROUTES = ("flow", "newton", "spectral")
+_FLOW, _NEWTON, _SPECTRAL = _ROUTES
 
 
 def _fmt(x: float) -> str:
@@ -87,26 +92,15 @@ def _parse_floats(text: str, count_max: int, what: str) -> list[float]:
 
 
 def _default_domain(p2: float, p1: float, p0: float) -> Domain:
-    """Widest interval on which p > 0; raises if that is ambiguous."""
-    if p2 == 0.0 and p1 == 0.0:
-        if p0 > 0:
-            return Domain(-math.inf, math.inf)
-        raise ValueError("p is a nonpositive constant; pass --domain explicitly")
-    if p2 == 0.0:
-        r = -p0 / p1
-        return Domain(r, math.inf) if p1 > 0 else Domain(-math.inf, r)
-    disc = p1 * p1 - 4.0 * p2 * p0
-    if disc <= 0.0:
-        if p2 > 0:
-            return Domain(-math.inf, math.inf)
-        raise ValueError("p < 0 everywhere; pass --domain explicitly")
-    s = math.sqrt(disc)
-    r1, r2 = sorted(((-p1 - s) / (2 * p2), (-p1 + s) / (2 * p2)))
-    if p2 < 0:
-        return Domain(r1, r2)
-    raise ValueError(
-        "p > 0 on two unbounded intervals; pass --domain explicitly"
-    )
+    """The one open interval on which p > 0; raises unless there is one."""
+    roots = _real_roots(p2, p1, p0)
+    if len(roots) == 2 and p2 < 0 and roots[0] < roots[1]:
+        return Domain(*roots)
+    if len(roots) == 1:
+        return Domain(roots[0], math.inf) if p1 > 0 else Domain(-math.inf, roots[0])
+    if not roots and p0 > 0:
+        return Domain(-math.inf, math.inf)
+    raise ValueError("p > 0 on no single interval; pass --domain explicitly")
 
 
 def _build_spec(args) -> tuple[EquationSpec, dict]:
@@ -173,17 +167,15 @@ def _converged(traj: Trajectory) -> Trajectory:
 
 
 def _run(spec, n, method, tol, t_max, max_iter, init, seed) -> Configuration:
-    """Zeros of the degree-n eigenpolynomial by one route; only the
+    """Zeros of the degree-n eigenpolynomial by one of _ROUTES; only the
     iterative routes build a start, default_init(spec, n, init, seed)."""
-    if method == "spectral":
+    if method == _SPECTRAL:
         return oracle_zeros(spec, n)
     start = default_init(spec, n, init, seed)
-    if method == "newton":
+    if method == _NEWTON:
         return newton_solve(spec, start, tol=tol, max_iter=max_iter)
-    if method == "flow":
-        opts = convergence_options(n, t_max, tol)
-        return _converged(integrate(spec, start, opts)).final.config
-    raise ValueError(f"unknown method {method!r}")
+    opts = convergence_options(n, t_max, tol)
+    return _converged(integrate(spec, start, opts)).final.config
 
 
 def _max_residual(spec: EquationSpec, config: Configuration) -> float:
@@ -281,12 +273,15 @@ def cmd_bench(args) -> int:
     spec, _ = _build_spec(args)
     n_list = [int(s) for s in args.n_list.split(",")]
     methods = [s.strip() for s in args.methods.split(",")]
+    for method in methods:
+        if method not in _ROUTES:
+            raise ValueError(f"unknown method {method!r}; choose from {_ROUTES}")
     rows = ["n,method,wall_time_seconds,final_residual,agreement_vs_spectral"]
     for n in n_list:
         reference = oracle_zeros(spec, n).as_array()
         t_max = 10.0 + 50.0 / max(eigenvalue_gap(spec, n), 1e-6)
         for method in methods:
-            tol = 1e-9 if method == "flow" else 1e-10
+            tol = 1e-9 if method == _FLOW else 1e-10
             t0 = time.perf_counter()
             try:
                 config = _run(
@@ -334,9 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="compute eigenpolynomial zeros")
     _add_spec_args(ps)
     _add_run_args(ps, 1e-10, {"default": 80.0})
-    ps.add_argument(
-        "--method", choices=["flow", "newton", "spectral"], default="spectral"
-    )
+    ps.add_argument("--method", choices=_ROUTES, default=_SPECTRAL)
     ps.add_argument("--max-iter", type=int, default=200, dest="max_iter")
     ps.set_defaults(func=cmd_solve)
 
@@ -360,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bench", help="wall-time and accuracy table")
     _add_spec_args(pb)
     pb.add_argument("--n-list", default="10,20,50", dest="n_list")
-    pb.add_argument("--methods", default="flow,newton,spectral")
+    pb.add_argument("--methods", default=",".join(_ROUTES))
     pb.add_argument("--output", default=None)
     pb.set_defaults(func=cmd_bench)
 

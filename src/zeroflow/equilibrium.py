@@ -89,16 +89,18 @@ def _require_in_domain(spec: EquationSpec, x: np.ndarray) -> None:
         )
 
 
-def _pair_sums(x: np.ndarray) -> np.ndarray:
-    """S_i = sum_{k!=i} 2/(x_i-x_k) for each i.
-
-    The diagonal of the difference matrix is +inf, whose reciprocal is
-    exactly 0, so no second pass has to clear it.
-    """
+def _inverse_differences(x: np.ndarray) -> np.ndarray:
+    """1/(x_i-x_k) as an n x n matrix.  The difference matrix's diagonal is
+    +inf, whose reciprocal is exactly 0, so no second pass clears it."""
     inv = x[:, None] - x
     np.fill_diagonal(inv, np.inf)
     np.reciprocal(inv, out=inv)
-    return 2.0 * inv.sum(axis=1)
+    return inv
+
+
+def _pair_sums(x: np.ndarray) -> np.ndarray:
+    """S_i = sum_{k!=i} 2/(x_i-x_k) for each i."""
+    return 2.0 * _inverse_differences(x).sum(axis=1)
 
 
 def _residual_array(spec: EquationSpec, x: np.ndarray) -> np.ndarray:
@@ -123,9 +125,7 @@ def residual_jacobian(spec: EquationSpec, config: Configuration) -> np.ndarray:
     _require_in_domain(spec, x)
     n = x.size
     # one n x n buffer: 1/(x_i-x_k), then its square, then the Jacobian
-    J = x[:, None] - x
-    np.fill_diagonal(J, np.inf)
-    np.reciprocal(J, out=J)
+    J = _inverse_differences(x)
     s = 2.0 * J.sum(axis=1)
     np.square(J, out=J)
     t = 2.0 * J.sum(axis=1)
@@ -241,9 +241,8 @@ def stieltjes_energy(alpha: float, beta: float, config: Configuration) -> float:
     _check_energy_args(alpha, beta, x)
     pair = 0.0
     if x.size > 1:
-        diff = x[:, None] - x[None, :]
-        iu = np.triu_indices(x.size, k=1)
-        pair = -float(np.sum(np.log(np.abs(diff[iu]))))
+        i, j = np.triu_indices(x.size, k=1)
+        pair = -float(np.sum(np.log(x[j] - x[i])))
     field = -float(
         np.sum(
             0.5 * (alpha + 1.0) * np.log(np.abs(x - 1.0))

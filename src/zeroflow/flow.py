@@ -54,7 +54,7 @@ import numpy as np
 
 from .equilibrium import Configuration, _residual_array
 from .errors import InsufficientDecay
-from .operator_core import EquationSpec, eigenvalue, eigenvalue_gap
+from .operator_core import EquationSpec, _spectrum, eigenvalue_gap
 
 __all__ = [
     "TerminationReason",
@@ -207,8 +207,8 @@ def integrate(
         raise ValueError("start configuration must lie inside the open domain")
     lo, hi = spec.domain.lower, spec.domain.upper
     n = x.size
-    lam_n = eigenvalue(spec, n)
-    rho = max(abs(eigenvalue(spec, k) - lam_n) for k in range(n))
+    *lower, lam_n = _spectrum(spec, n)
+    rho = max(abs(lam_k - lam_n) for lam_k in lower)
     h_stable = _STABLE_H_RHO / rho if rho > 0 else math.inf
 
     f = _residual_array(spec, x)

@@ -14,7 +14,8 @@ diagonal carries the eigenvalues
 Signs are normalized so that lambda_n > 0 for n >= 1 for every classical
 family and the classical orthogonal polynomials are eigenfunctions.
 check_simple_spectrum returns the DegenerateSpectrumError that names the
-first pair of eigenvalues that fails to increase, or None.
+first pair of eigenvalues that fails to increase, or None.  Only this module
+lists lambda_0 .. lambda_n (_spectrum) and solves p = 0 (_real_roots).
 """
 
 from __future__ import annotations
@@ -136,6 +137,18 @@ class ClassicalFamily:
         return cls(FamilyTag.CHEBYSHEV_SECOND)
 
 
+def _real_roots(p2: float, p1: float, p0: float) -> tuple[float, ...]:
+    """Real roots of p2 x^2 + p1 x + p0 in increasing order, a double root
+    twice and -0.0 as 0.0; none for a constant."""
+    if p2 == 0.0:
+        return () if p1 == 0.0 else (-p0 / p1 + 0.0,)
+    disc = p1 * p1 - 4.0 * p2 * p0
+    if disc < 0.0:
+        return ()
+    s = math.sqrt(disc)
+    return tuple(sorted(((-p1 - s) / (2 * p2) + 0.0, (-p1 + s) / (2 * p2) + 0.0)))
+
+
 @dataclass(frozen=True)
 class EquationSpec:
     """Coefficients of p(x) = p2 x^2 + p1 x + p0 and q(x) = q1 x + q0,
@@ -161,22 +174,11 @@ class EquationSpec:
             object.__setattr__(self, name, v)
         if self.p2 == 0.0 and self.p1 == 0.0 and self.p0 == 0.0:
             raise ValueError("p must not be identically zero")
-        for r in self._p_roots():
+        for r in _real_roots(self.p2, self.p1, self.p0):
             if self.domain.contains(r):
                 raise ValueError(
                     f"p(x) vanishes at x={r:g} strictly inside the domain"
                 )
-
-    def _p_roots(self) -> tuple[float, ...]:
-        if self.p2 != 0.0:
-            disc = self.p1 * self.p1 - 4.0 * self.p2 * self.p0
-            if disc < 0.0:
-                return ()
-            s = math.sqrt(disc)
-            return ((-self.p1 - s) / (2 * self.p2), (-self.p1 + s) / (2 * self.p2))
-        if self.p1 != 0.0:
-            return (-self.p0 / self.p1,)
-        return ()
 
     # polynomial evaluations; all accept scalars or numpy arrays
     def p(self, x):
@@ -267,21 +269,27 @@ def operator_matrix(spec: EquationSpec, n: int) -> np.ndarray:
 
     The identity with symbolic differentiation is property-tested.
     """
-    if n < 0:
-        raise ValueError("degree bound must be nonnegative")
+    bands = _bands(spec, n)  # refuses n < 0 before np.zeros sees a negative size
     M = np.zeros((n + 1, n + 1))
     # band k is the k-th superdiagonal; fill_diagonal keeps the signed zeros
-    for k, band in enumerate(_bands(spec, n)):
+    for k, band in enumerate(bands):
         np.fill_diagonal(M[:, k:], band)
     M.flags.writeable = False
     return M
+
+
+def _spectrum(spec: EquationSpec, n: int) -> list[float]:
+    """lambda_0 .. lambda_n as Python floats, each as eigenvalue gives it."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    return [eigenvalue(spec, m) for m in range(n + 1)]
 
 
 def _bands(spec: EquationSpec, n: int) -> tuple[list[float], list[float], list[float]]:
     """operator_matrix's diagonals M[j][j+k], k = 0, 1, 2, as lists of
     Python floats indexed by row j; entry j does not depend on n."""
     return (
-        [eigenvalue(spec, m) for m in range(n + 1)],
+        _spectrum(spec, n),
         [m * (spec.q0 - spec.p1 * m) for m in range(1, n + 1)],
         [-spec.p0 * m * (m - 1) for m in range(2, n + 1)],
     )
@@ -297,10 +305,8 @@ def check_simple_spectrum(
     Since lambda_k is quadratic in k, strict increase of consecutive values
     is equivalent to the full pairwise condition.
     """
-    lam_prev = eigenvalue(spec, 0)
+    lam = _spectrum(spec, n)
     for k in range(1, n + 1):
-        lam_k = eigenvalue(spec, k)
-        if not lam_k > lam_prev:
-            return DegenerateSpectrumError(k - 1, k, lam_prev, lam_k)
-        lam_prev = lam_k
+        if not lam[k] > lam[k - 1]:
+            return DegenerateSpectrumError(k - 1, k, lam[k - 1], lam[k])
     return None

@@ -36,8 +36,8 @@ from .operator_core import (
     Domain,
     EquationSpec,
     _bands,
+    _spectrum,
     check_simple_spectrum,
-    eigenvalue,
 )
 
 __all__ = [
@@ -416,11 +416,11 @@ def heat_propagate(
     the result is exact up to round-off.  lambda_n * t is capped at 700 to
     stay within double range.
     """
-    if not t >= 0:  # also refuses NaN, before any arithmetic
-        raise ValueError("propagation time must be nonnegative")
+    if not 0 <= t < math.inf:  # also refuses NaN and inf, before any arithmetic
+        raise ValueError("propagation time must be nonnegative and finite")
     n = coeffs.degree
     Y = eigenbasis_matrix(spec, n)
-    lam = np.array([eigenvalue(spec, k) for k in range(n + 1)])
+    lam = np.array(_spectrum(spec, n))
     if lam[n] * t > _EXP_CAP:
         raise PropagatorOverflow(
             f"lambda_n * t = {lam[n] * t:.3g} exceeds {_EXP_CAP:g}"

@@ -1,4 +1,5 @@
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -89,6 +90,34 @@ class TestSolve:
         code, out, err = run(capsys, "solve", f"--p={p}", "--q=0,1", "--n", "3")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "pass --domain explicitly" in err
+
+    @pytest.mark.parametrize(
+        "p", ["0,0,1", "1,2,1", "-1,2,-1"],
+        ids=["x_squared", "double_root", "negative_double_root"],
+    )
+    def test_double_root_of_p_exit_1(self, capsys, p):
+        # p >= 0 vanishes at its double root, so no one interval is p > 0
+        code, out, err = run(capsys, "solve", f"--p={p}", "--q=0,1", "--n", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "pass --domain explicitly" in err
+
+    @pytest.mark.parametrize(
+        "p210,ends",
+        [
+            ((-1.0, 0.0, 1.0), (-1.0, 1.0)),  # between the roots
+            ((-1.0, -1.0, 0.0), (-1.0, 0.0)),
+            ((1.0, 0.0, 1.0), (-math.inf, math.inf)),  # no real root, p > 0
+            ((0.0, 0.0, 2.0), (-math.inf, math.inf)),
+            ((0.0, 1.0, 0.0), (0.0, math.inf)),  # the positive side
+            ((0.0, -1.0, 0.0), (-math.inf, 0.0)),
+        ],
+    )
+    def test_default_domain(self, p210, ends):
+        dom = cli._default_domain(*p210)
+        got = (dom.lower, dom.upper)
+        assert got == ends
+        # a root at zero is 0.0, never -0.0
+        assert all(math.copysign(1.0, e) == 1.0 for e in got if e == 0.0)
 
     def test_unwritable_output_exit_1(self, capsys, tmp_path):
         code, _, err = run(
@@ -332,6 +361,18 @@ class TestBenchCommand:
             assert float(fields[2]) >= 0.0
             assert float(fields[4]) < 1e-6  # methods agree with the oracle
 
+    def test_unknown_method_refused_before_any_solve(self, capsys, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("bench solved before checking --methods")
+
+        monkeypatch.setattr(cli, "oracle_zeros", no_solve)
+        code, out, err = run(
+            capsys, "bench", "--family", "legendre", "--n-list", "5",
+            "--methods", "flow,foo",
+        )
+        assert code == 1 and out == ""
+        assert "unknown method 'foo'" in err
+
     def test_time_grows_with_degree_within_noise(self, capsys):
         code, out, _ = run(
             capsys, "bench", "--family", "legendre", "--n-list", "4,24",
@@ -367,3 +408,13 @@ def test_readme_cli_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README line does not parse: zeroflow {shlex.join(argv)}")
+
+
+def test_readme_api_sketch_runs():
+    # executes README's API sketch as written, so it stays runnable
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## API sketch", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].is_equilibrium

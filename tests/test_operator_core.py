@@ -16,6 +16,7 @@ from zeroflow import (
     make_classical,
     operator_matrix,
 )
+from zeroflow.operator_core import _real_roots, _spectrum
 from conftest import CLASSICAL_SPECS
 
 
@@ -60,6 +61,31 @@ class TestEquationSpec:
     def test_negative_p_inside_is_accepted(self):
         # sign of p is not constrained, only p != 0 inside
         EquationSpec(0.0, 0.0, -1.0, 0.0, 0.0, Domain(-1, 1))
+
+    def test_interior_root_named_without_sign(self):
+        # p = x^2: its double root is computed once as -0.0
+        with pytest.raises(ValueError, match=r"vanishes at x=0 strictly"):
+            EquationSpec(1.0, 0.0, 0.0, 0.0, 1.0, Domain(-1, 1))
+
+
+class TestRealRoots:
+    @pytest.mark.parametrize(
+        "coeffs,roots",
+        [
+            ((-1.0, 0.0, 1.0), (-1.0, 1.0)),  # 1 - x^2
+            ((1.0, 0.0, -1.0), (-1.0, 1.0)),  # x^2 - 1, same order
+            ((1.0, 2.0, 1.0), (-1.0, -1.0)),  # double root twice
+            ((-1.0, 1.0, 0.0), (0.0, 1.0)),  # x - x^2
+            ((1.0, 0.0, 1.0), ()),  # no real root
+            ((0.0, 1.0, 0.0), (0.0,)),  # x
+            ((0.0, -2.0, 1.0), (0.5,)),  # 1 - 2x
+            ((0.0, 0.0, 3.0), ()),  # constant
+        ],
+    )
+    def test_increasing_and_unsigned_zero(self, coeffs, roots):
+        got = _real_roots(*coeffs)
+        assert got == roots
+        assert all(math.copysign(1.0, r) == 1.0 for r in got if r == 0.0)
 
 
 class TestMakeClassical:
@@ -121,6 +147,24 @@ class TestEigenvalue:
             assert eigenvalue(spec, n) == pytest.approx(
                 n * (n + alpha + beta + 1), rel=1e-14
             )
+
+    def test_spectrum_is_eigenvalue_bit_for_bit(self, rng):
+        # signed zeros included: lambda_0 is -0.0 when q1 = -0.0 and p2 = 0
+        special = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0]
+        checked = 0
+        while checked < 200:
+            pick = rng.random(5) < 0.5
+            coeffs = np.where(pick, rng.choice(special, 5), rng.uniform(-3, 3, 5))
+            try:
+                spec = EquationSpec(*coeffs, Domain(-1.0, 1.0))
+            except ValueError:  # p vanishes inside, or p = 0
+                continue
+            n = int(rng.choice([0, 1, 2, 5, 13, 60, 200]))
+            lam = _spectrum(spec, n)
+            ref = [eigenvalue(spec, k) for k in range(n + 1)]
+            assert np.array(lam).tobytes() == np.array(ref).tobytes()
+            assert all(type(v) is float for v in lam)
+            checked += 1
 
     def test_gap(self):
         leg = make_classical(ClassicalFamily.legendre())

@@ -508,6 +508,14 @@ class TestHeatPropagate:
         with pytest.raises(ValueError, match="propagation time must be nonnegative"):
             heat_propagate(LEG, PolynomialCoefficients((0.0, 1.0)), math.nan)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("roots", [(), (-0.4, 0.1, 0.5)], ids=["deg0", "deg3"])
+    def test_infinite_time_rejected_before_any_arithmetic(self, roots):
+        # at degree 0, lambda_0 * inf would be nan and pass the overflow guard
+        c = PolynomialCoefficients.from_roots(roots)
+        with pytest.raises(ValueError, match="propagation time must be nonnegative"):
+            heat_propagate(LEG, c, math.inf)
+
     def test_degenerate_spectrum_propagates(self):
         spec = EquationSpec(0.0, 0.0, 1.0, 0.0, 0.0, Domain(-1, 1))
         with pytest.raises(DegenerateSpectrumError):
@@ -517,6 +525,14 @@ class TestHeatPropagate:
         spec = EquationSpec(250.0, 0.0, 1.0, 1000.0, 0.0, REAL_LINE)
         with pytest.raises(DegenerateSpectrumError):
             heat_propagate(spec, PolynomialCoefficients((0.0, 0.0, 1.0)), 2.0)
+
+
+@pytest.mark.parametrize(
+    "call", [eigen_coefficients, eigenbasis_matrix, check_simple_spectrum, operator_matrix]
+)
+def test_negative_degree_refused(call):
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        call(LEG, -1)
 
 
 class TestEigenbasis:
