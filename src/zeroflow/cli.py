@@ -6,11 +6,14 @@ usage and its reason; a bad argument value, or a points file or --output
 path that cannot be read or written, prints "error: ..." and exits 1.
 Every numerical failure, including a flow that stops early in solve or
 rate, prints "error: ..." and exits 2; flow writes its CSV and exits 0
-when it reaches --t-max.  rate asks the oracle for its reference zeros
-before it integrates, so a spec the oracle refuses is refused with the
-oracle's reason; it records every step, with step tolerances tied below
---tol so that its fit window, down to 1e-9 of the initial error, is
-resolved.
+when it reaches its horizon.  Without --t-max, integrate derives the
+horizon, 10 + 50/(lambda_n - lambda_{n-1}), and refuses a degenerate
+spectrum before the first step; a manifest then records t_max as null, so
+the same arguments reproduce the run.  rate asks the oracle for its
+reference zeros before it integrates, so a spec the oracle refuses is
+refused with the oracle's reason; it records every step, with step
+tolerances tied below --tol so that its fit window, down to 1e-9 of the
+initial error, is resolved.
 bench times one cold call per route: a smoke table, not a measurement
 (bench/ and scripts/bench_pair.py measure).  Numbers are serialized with
 17 significant digits so results round-trip exactly; identical arguments
@@ -51,7 +54,6 @@ from .operator_core import (
     FamilyTag,
     _real_roots,
     eigenvalue,
-    eigenvalue_gap,
     make_classical,
 )
 from .spectral import oracle_zeros
@@ -214,7 +216,7 @@ def cmd_flow(args) -> int:
             ",".join([_fmt(snap.t)] + [_fmt(x) for x in snap.config.points])
         )
     _emit("\n".join(lines) + "\n", args.output)
-    # reaching --t-max completes the requested trajectory
+    # reaching the horizon completes the requested trajectory
     if traj.terminated_by.is_error:
         raise ZeroflowError(f"flow terminated by {traj.terminated_by.value}")
     return 0
@@ -240,8 +242,6 @@ def cmd_rate(args) -> int:
     # the oracle refuses a degenerate spectrum or a spec without a positive
     # weight before anything is integrated
     reference = oracle_zeros(spec, n)
-    gap = eigenvalue_gap(spec, n)
-    t_max = args.t_max if args.t_max is not None else min(200.0, max(5.0, 40.0 / gap))
     start = default_init(spec, n, args.init, args.seed)
     # the fit reads the trajectory itself down to 1e-9 of the initial
     # error, not just its end point, so the step tolerances follow --tol
@@ -250,14 +250,14 @@ def cmd_rate(args) -> int:
     # error biases sigma_hat low (Hermite, n = 3, equispaced: sigma_hat/gap
     # 1.94 against 2.00)
     opts = dataclasses.replace(
-        convergence_options(n, t_max, args.tol),
+        convergence_options(n, args.t_max, args.tol),
         snapshot_stride=1,
         rel_tol=min(1e-8, max(1e-13, 1e-2 * args.tol)),
         abs_tol=min(1e-10, max(1e-15, 1e-3 * args.tol)),
     )
     traj = _converged(integrate(spec, start, opts))
     report = estimate_rate(traj, reference)
-    opts_desc = {"t_max": t_max, "tol": args.tol, "init": args.init}
+    opts_desc = {"t_max": args.t_max, "tol": args.tol, "init": args.init}
     payload = {
         "sigma_hat": report.sigma_hat,
         "theoretical_gap": report.theoretical_gap,
@@ -279,13 +279,12 @@ def cmd_bench(args) -> int:
     rows = ["n,method,wall_time_seconds,final_residual,agreement_vs_spectral"]
     for n in n_list:
         reference = oracle_zeros(spec, n).as_array()
-        t_max = 10.0 + 50.0 / max(eigenvalue_gap(spec, n), 1e-6)
         for method in methods:
             tol = 1e-9 if method == _FLOW else 1e-10
             t0 = time.perf_counter()
             try:
                 config = _run(
-                    spec, n, method, tol, t_max, 200, "equispaced", None
+                    spec, n, method, tol, None, 200, "equispaced", None
                 )
             except ZeroflowError as exc:
                 log.warning("bench %s n=%d failed: %s", method, n, exc)
@@ -306,14 +305,13 @@ def cmd_bench(args) -> int:
 def _add_run_args(
     p: argparse.ArgumentParser,
     tol: float,
-    t_max: dict,
     init: InitStrategy = InitStrategy.EQUISPACED,
     seed: int | None = None,
 ) -> None:
-    """--n, --t-max, --tol, --init, --seed and --output.  t_max holds the
-    keywords of --t-max: its default, or required=True."""
+    """--n, --t-max, --tol, --init, --seed and --output.  Without --t-max
+    integrate derives the horizon from the eigenvalue gap."""
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t-max", type=float, dest="t_max", **t_max)
+    p.add_argument("--t-max", type=float, dest="t_max")
     p.add_argument("--tol", type=float, default=tol)
     p.add_argument(
         "--init", choices=[s.value for s in InitStrategy], default=init.value
@@ -328,14 +326,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="compute eigenpolynomial zeros")
     _add_spec_args(ps)
-    _add_run_args(ps, 1e-10, {"default": 80.0})
+    _add_run_args(ps, 1e-10)
     ps.add_argument("--method", choices=_ROUTES, default=_SPECTRAL)
     ps.add_argument("--max-iter", type=int, default=200, dest="max_iter")
     ps.set_defaults(func=cmd_solve)
 
     pf = sub.add_parser("flow", help="emit a CSV particle trajectory")
     _add_spec_args(pf)
-    _add_run_args(pf, 1e-9, {"required": True})
+    _add_run_args(pf, 1e-9)
     pf.add_argument("--stride", type=int, default=None)
     pf.set_defaults(func=cmd_flow)
 
@@ -347,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("rate", help="fit the exponential convergence rate")
     _add_spec_args(pr)
-    _add_run_args(pr, 1e-10, {"default": None}, InitStrategy.SEEDED, 1)
+    _add_run_args(pr, 1e-10, InitStrategy.SEEDED, 1)
     pr.set_defaults(func=cmd_rate)
 
     pb = sub.add_parser("bench", help="wall-time and accuracy table")

@@ -23,7 +23,10 @@ When the eigenvalues lambda_0 < ... < lambda_n are simple and increasing,
 the flow converges from any ordered start to the eigenpolynomial zeros, and
 the error decays like exp(-sigma t) with sigma >= lambda_n - lambda_{n-1};
 the linearization at the fixed point has eigenvalues lambda_k - lambda_n
-for k < n, so it is strictly stable.
+for k < n, so it is strictly stable.  That rate sets the default horizon:
+without an explicit t_max, integrate runs to t = 10 + 50/(lambda_n -
+lambda_{n-1}), by which the slowest mode has shrunk by e^-50 after a
+transient of 10 time units.
 
 The integrator is an explicit embedded Dormand-Prince 5(4) pair with two
 extra accept/reject guards per step: the particle ordering and domain
@@ -54,7 +57,7 @@ import numpy as np
 
 from .equilibrium import Configuration, _residual_array
 from .errors import InsufficientDecay
-from .operator_core import EquationSpec, _spectrum, eigenvalue_gap
+from .operator_core import EquationSpec, _spectrum, check_simple_spectrum, eigenvalue_gap
 
 __all__ = [
     "TerminationReason",
@@ -91,9 +94,11 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class FlowOptions:
-    """Integration controls.  All fields must be positive."""
+    """Integration controls.  All fields must be positive, except that
+    t_max = None (the default) leaves integrate to derive the horizon from
+    the eigenvalue gap."""
 
-    t_max: float
+    t_max: float | None = None
     residual_tol: float = 1e-9
     max_steps: int = 1_000_000
     snapshot_stride: int = 1
@@ -102,7 +107,8 @@ class FlowOptions:
 
     def __post_init__(self):
         for field in fields(self):
-            if not getattr(self, field.name) > 0:
+            value = getattr(self, field.name)
+            if not (value is None and field.name == "t_max" or value > 0):
                 raise ValueError(f"FlowOptions.{field.name} must be positive")
 
 
@@ -143,7 +149,6 @@ class InitStrategy(str, enum.Enum):
 # Dormand-Prince 5(4): propagate the 5th order solution, estimate the error
 # against the embedded 4th order one.  FSAL: the last stage at the accepted
 # point is the first stage of the next step.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -192,8 +197,12 @@ def integrate(
     Terminates with CONVERGED when the residual max-norm drops below
     opts.residual_tol, with MAX_TIME at t_max, or with an error reason when
     a guard keeps failing at the minimum step size or the step budget is
-    exhausted.  The trajectory records every snapshot_stride-th accepted
-    step plus the initial and final states.
+    exhausted.  When opts.t_max is None the horizon is t_max = 10 + 50 /
+    (lambda_n - lambda_{n-1}), which the theorem's rate covers only for a
+    simple, increasing spectrum: otherwise the DegenerateSpectrumError of
+    check_simple_spectrum is raised before the first step.  The trajectory
+    records every snapshot_stride-th accepted step plus the initial and
+    final states.
 
     Each attempted step is capped at 3/rho, rho = max_{k<n} |lambda_k -
     lambda_n| being the stiffness at the zeros (no cap when rho = 0), so the
@@ -210,12 +219,17 @@ def integrate(
     *lower, lam_n = _spectrum(spec, n)
     rho = max(abs(lam_k - lam_n) for lam_k in lower)
     h_stable = _STABLE_H_RHO / rho if rho > 0 else math.inf
+    t_max = opts.t_max
+    if t_max is None:
+        if (degenerate := check_simple_spectrum(spec, n)) is not None:
+            raise degenerate
+        t_max = 10.0 + 50.0 / (lam_n - lower[-1])
 
     f = _residual_array(spec, x)
     rnorm = float(np.abs(f).max())
     snaps = [Snapshot(0.0, Configuration(tuple(x)), rnorm)]
     t = 0.0
-    h = min(_INITIAL_STEP, opts.t_max)
+    h = min(_INITIAL_STEP, t_max)
     accepted = rejected = 0
     ks = np.empty((7, n))
     gap = _min_gap(x)  # of the accepted point
@@ -232,7 +246,7 @@ def integrate(
     while True:
         if accepted + rejected >= opts.max_steps:
             return finish(TerminationReason.MAX_STEPS_EXCEEDED)
-        h = min(h, opts.t_max - t, h_stable)
+        h = min(h, t_max - t, h_stable)
 
         # every stage argument must be finite and strictly increasing; the
         # last one is the 5th order solution, the step's end point
@@ -284,7 +298,7 @@ def integrate(
 
         if rnorm < opts.residual_tol:
             return finish(TerminationReason.CONVERGED)
-        if t >= opts.t_max * (1.0 - 1e-15):
+        if t >= t_max * (1.0 - 1e-15):
             return finish(TerminationReason.MAX_TIME)
         if accepted % opts.snapshot_stride == 0:
             snaps.append(Snapshot(t, Configuration(tuple(x)), rnorm))
@@ -332,9 +346,12 @@ def estimate_rate(traj: Trajectory, reference: Configuration) -> RateReport:
 
 
 def convergence_options(
-    n: int, t_max: float, residual_tol: float = 1e-9
+    n: int, t_max: float | None = None, residual_tol: float = 1e-9
 ) -> FlowOptions:
     """Options for runs meant to terminate by residual.
+
+    t_max = None leaves the horizon to integrate, which derives it from the
+    eigenvalue gap (see integrate).
 
     The step-control tolerances stay at the FlowOptions defaults, however
     small residual_tol is.  The residual stop certifies the returned point,

@@ -223,10 +223,9 @@ def poly_roots(coeffs: PolynomialCoefficients, domain: Domain) -> Configuration:
     n = coeffs.degree
     if n < 1:
         raise ValueError("root isolation needs degree >= 1")
-    if n > 60:
-        # rescaling cannot fix monomial-basis conditioning, but it avoids
-        # overflow of Horner intermediates for badly scaled coefficients
-        c = c / np.max(np.abs(c))
+    # a power of two moves no root and no floor test, but keeps Horner
+    # intermediates of badly scaled coefficients from overflowing
+    c = np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])
     if n == 1:
         return Configuration((-c[0] / c[1] + 0.0,))
 

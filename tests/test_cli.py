@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zeroflow import ClassicalFamily, make_classical, oracle_zeros
+from zeroflow import ClassicalFamily, ZeroflowError, make_classical, oracle_zeros
 from zeroflow import cli
 from zeroflow.cli import _build_parser, main
 
 L3_ZEROS = (0.41577455678347908, 2.2942803602790417, 6.2899450829374792)
+# p = 1, q = 0.05 x: the gap lambda_n - lambda_{n-1} is 0.05 at every n
+SMALL_GAP = ("--p", "1", "--q", "0,0.05")
 
 
 def run(capsys, *argv):
@@ -220,6 +222,65 @@ class TestFlowCommand:
         assert f1.read_bytes() == f2.read_bytes()
         assert len(f1.read_bytes()) > 0
 
+    def test_no_t_max_needed(self, capsys):
+        code, out, _ = run(capsys, "flow", "--family", "legendre", "--n", "5")
+        assert code == 0
+        assert out.splitlines()[0] == "t,x1,x2,x3,x4,x5"
+
+    @pytest.mark.parametrize(
+        "spec_args,reason",
+        [
+            # p < 0 makes the pair attract, so the two particles collide
+            (("--p=-1", "--q=0", "--domain=-inf,inf"), "collision_imminent"),
+            # q = -x on (-1, 1) pushes both particles outward
+            (("--p=1", "--q=0,-1", "--domain=-1,1"), "left_domain"),
+        ],
+        ids=["collision", "left_domain"],
+    )
+    def test_error_termination_exit_2(self, capsys, spec_args, reason):
+        code, out, err = run(capsys, "flow", *spec_args, "--n", "2", "--t-max", "50")
+        assert code == 2
+        assert out.startswith("t,x1,x2\n")  # the CSV is written in any case
+        assert err == f"error: flow terminated by {reason}\n"
+
+
+class TestDerivedHorizon:
+    def test_small_gap_solve_and_rate_converge(self, capsys):
+        code, out, err = run(capsys, "solve", *SMALL_GAP, "--n", "5", "--method", "flow")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["residual_norm"] < 1e-10
+        # the manifest records the derived horizon as null
+        assert payload["manifest"]["options"]["t_max"] is None
+        code, out, err = run(capsys, "rate", *SMALL_GAP, "--n", "5")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["theoretical_gap"] == pytest.approx(0.05, rel=1e-12)
+        assert payload["manifest"]["options"]["t_max"] is None
+
+    def test_small_gap_bench_converges(self, capsys):
+        code, out, _ = run(capsys, "bench", *SMALL_GAP, "--n-list", "5", "--methods", "flow")
+        assert code == 0
+        fields = out.strip().splitlines()[1].split(",")
+        assert fields[:2] == ["5", "flow"]
+        assert float(fields[3]) < 1e-9 and float(fields[4]) < 1e-6
+
+    def test_explicit_t_max_recorded(self, capsys):
+        code, out, _ = run(
+            capsys, "solve", "--family", "laguerre", "--n", "3", "--method", "flow",
+            "--t-max", "40",
+        )
+        assert code == 0
+        assert json.loads(out)["manifest"]["options"]["t_max"] == 40.0
+
+    def test_degenerate_spectrum_refused_without_t_max(self, capsys):
+        # lambda_m = m^2 - 2m: the derived horizon needs a simple spectrum
+        code, out, err = run(
+            capsys, "solve", "--p", "1,0,-1", "--q", "0,-3", "--n", "3", "--method", "flow"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: degenerate spectrum: lambda_0=0 and lambda_1=-1 are not strictly increasing\n"
+
 
 class TestVerifyCommand:
     def test_oracle_zeros_accepted(self, capsys, tmp_path):
@@ -372,6 +433,20 @@ class TestBenchCommand:
         )
         assert code == 1 and out == ""
         assert "unknown method 'foo'" in err
+
+    def test_failed_route_gives_nan_row(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ZeroflowError("no convergence")
+
+        monkeypatch.setattr(cli, "newton_solve", failing)
+        code, out, _ = run(
+            capsys, "bench", "--family", "legendre", "--n-list", "5",
+            "--methods", "newton,spectral",
+        )
+        assert code == 0
+        newton_row, spectral_row = out.strip().splitlines()[1:]
+        assert newton_row.startswith("5,newton,") and newton_row.endswith(",nan,nan")
+        assert float(spectral_row.split(",")[4]) == 0.0
 
     def test_time_grows_with_degree_within_noise(self, capsys):
         code, out, _ = run(

@@ -44,6 +44,11 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             Configuration(())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_point(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            Configuration((0.0, bad))
+
     def test_accepts_any_iterable_values(self):
         cfg = Configuration(np.array([0.5, 1.5]))
         assert cfg.points == (0.5, 1.5)
@@ -173,6 +178,16 @@ class TestNewtonSolve:
         spec = EquationSpec(0.0, 0.0, 1.0, 0.0, 0.0, Domain(-math.inf, math.inf))
         with pytest.raises(SingularJacobian):
             newton_solve(spec, Configuration((0.0, 1.0)), tol=1e-12)
+
+    def test_step_damping_exhausted(self):
+        # p = 1, q = 1e-300 x + 1 on (-1, 1) and n = 1: R = -(1e-300 x + 1)
+        # has slope -1e-300, so the Newton step from 0 is 1e300 long and 40
+        # halvings leave it far outside the domain
+        spec = EquationSpec(0.0, 0.0, 1.0, 1e-300, 1.0, Domain(-1.0, 1.0))
+        start = Configuration((0.0,))
+        with pytest.raises(MaxIterExceeded, match="step damping exhausted") as exc_info:
+            newton_solve(spec, start, tol=1e-12)
+        assert exc_info.value.last == start
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from zeroflow import (
     ClassicalFamily,
     Configuration,
+    DegenerateSpectrumError,
     Domain,
     EquationSpec,
     FlowOptions,
@@ -25,6 +26,7 @@ from zeroflow import (
     poly_roots,
     residual,
 )
+from zeroflow import flow
 from zeroflow.equilibrium import _residual_array
 from zeroflow.spectral import PolynomialCoefficients
 from conftest import CLASSICAL_SPECS, random_config
@@ -115,6 +117,17 @@ class TestDefaultInit:
     def test_seeded_requires_seed(self):
         with pytest.raises(ValueError):
             default_init(LEG, 3, InitStrategy.SEEDED)
+
+    def test_left_halfline(self):
+        # p = 2 - x on (-inf, 2): equispaced ends one unit short of the
+        # finite end, seeded draws from the middle tenth of a span of n + 1
+        spec = EquationSpec(0.0, -1.0, 2.0, 1.0, 0.0, Domain(-math.inf, 2.0))
+        cfg = default_init(spec, 4, InitStrategy.EQUISPACED)
+        np.testing.assert_array_equal(cfg.as_array(), [-2.0, -1.0, 0.0, 1.0])
+        x = default_init(spec, 4, InitStrategy.SEEDED, seed=5).as_array()
+        assert np.all(x > -0.75) and np.all(x < -0.25)
+        again = default_init(spec, 4, InitStrategy.SEEDED, seed=5)
+        np.testing.assert_array_equal(x, again.as_array())
 
 
 class TestIntegrate:
@@ -449,6 +462,36 @@ class TestEstimateRate:
         report = estimate_rate(traj, oracle_zeros(spec, n))
         assert report.sigma_hat >= 0.9 * report.theoretical_gap
         assert report.fit_quality >= 0.98
+
+
+class TestDerivedHorizon:
+    def test_defaults_leave_the_horizon_to_integrate(self):
+        assert FlowOptions().t_max is None
+        assert convergence_options(5).t_max is None
+
+    def test_runs_to_ten_plus_fifty_over_gap(self):
+        # a residual tolerance below R's round-off floor never stops the
+        # run, so it ends at the derived horizon, the rule FlowCase and the
+        # tests above write out by hand
+        n = 3
+        traj = integrate(HER, default_init(HER, n), FlowOptions(residual_tol=1e-300))
+        assert traj.terminated_by is TerminationReason.MAX_TIME
+        horizon = 10.0 + 50.0 / eigenvalue_gap(HER, n)
+        assert traj.final.t == pytest.approx(horizon, rel=1e-12, abs=0.0)
+
+    def test_degenerate_spectrum_refused_before_any_step(self, monkeypatch):
+        # lambda_m = m^2 - 2m: lambda_1 = -1 < lambda_0 = 0, so no horizon
+        # follows from the gap
+        spec = EquationSpec(-1.0, 0.0, 1.0, -3.0, 0.0, Domain(-1.0, 1.0))
+        start = default_init(spec, 3)
+
+        def no_rhs(*args):
+            raise AssertionError("residual evaluated")
+
+        monkeypatch.setattr(flow, "_residual_array", no_rhs)
+        with pytest.raises(DegenerateSpectrumError) as exc_info:
+            integrate(spec, start, convergence_options(3))
+        assert (exc_info.value.j, exc_info.value.k) == (0, 1)
 
 
 class TestFlowOptions:

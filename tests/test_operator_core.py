@@ -43,6 +43,10 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain(2.0, -2.0)
 
+    def test_rejects_nan_end(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Domain(math.nan, 1.0)
+
 
 class TestEquationSpec:
     def test_rejects_zero_p(self):
@@ -53,6 +57,10 @@ class TestEquationSpec:
         # p = x vanishes at 0, which is interior to (-1, 1)
         with pytest.raises(ValueError):
             EquationSpec(0.0, 1.0, 0.0, 1.0, 0.0, Domain(-1, 1))
+
+    def test_rejects_infinite_coefficient(self):
+        with pytest.raises(ValueError, match="q1 must be finite"):
+            EquationSpec(0.0, 0.0, 1.0, math.inf, 0.0, Domain(-1, 1))
 
     def test_boundary_root_is_fine(self):
         EquationSpec(0.0, 1.0, 0.0, 1.0, 0.0, Domain(0.0, math.inf))
@@ -125,6 +133,13 @@ class TestMakeClassical:
 
 
 class TestEigenvalue:
+    def test_rejects_negative_degree_and_gap_below_one(self):
+        leg = make_classical(ClassicalFamily.legendre())
+        with pytest.raises(ValueError, match="nonnegative"):
+            eigenvalue(leg, -1)
+        with pytest.raises(ValueError, match="n >= 1"):
+            eigenvalue_gap(leg, 0)
+
     def test_legendre(self):
         leg = make_classical(ClassicalFamily.legendre())
         assert eigenvalue(leg, 100) == 10100.0

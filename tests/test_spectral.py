@@ -115,6 +115,22 @@ class TestEigenCoefficients:
             eigen_coefficients(spec, 3)
 
 
+class TestPolynomialCoefficients:
+    @pytest.mark.parametrize(
+        "coeffs,reason",
+        [
+            ((), "at least one coefficient"),
+            ((1.0, math.nan), "must be finite"),
+            ((math.inf, 1.0), "must be finite"),
+            ((1.0, 0.0), "leading coefficient must be nonzero"),
+        ],
+        ids=["empty", "nan", "inf", "zero_leading"],
+    )
+    def test_rejects(self, coeffs, reason):
+        with pytest.raises(ValueError, match=reason):
+            PolynomialCoefficients(coeffs)
+
+
 class TestPolyRoots:
     def test_laguerre3_values(self):
         cfg = poly_roots(PolynomialCoefficients((-6.0, 18.0, -9.0, 1.0)), LAG.domain)
