@@ -39,6 +39,7 @@ from . import __version__
 from .equilibrium import Configuration, newton_solve, residual, verify_theorem1
 from .errors import ZeroflowError
 from .flow import (
+    FlowOptions,
     InitStrategy,
     TerminationReason,
     Trajectory,
@@ -252,8 +253,8 @@ def cmd_rate(args) -> int:
     opts = dataclasses.replace(
         convergence_options(n, args.t_max, args.tol),
         snapshot_stride=1,
-        rel_tol=min(1e-8, max(1e-13, 1e-2 * args.tol)),
-        abs_tol=min(1e-10, max(1e-15, 1e-3 * args.tol)),
+        rel_tol=min(FlowOptions.rel_tol, max(1e-13, 1e-2 * args.tol)),
+        abs_tol=min(FlowOptions.abs_tol, max(1e-15, 1e-3 * args.tol)),
     )
     traj = _converged(integrate(spec, start, opts))
     report = estimate_rate(traj, reference)

@@ -84,7 +84,7 @@ class EquilibriumReport:
 def _require_in_domain(spec: EquationSpec, x: np.ndarray) -> None:
     if not spec.domain.contains(x):
         raise ValueError(
-            f"configuration leaves the open domain "
+            f"configuration must lie inside the open domain "
             f"({spec.domain.lower:g}, {spec.domain.upper:g})"
         )
 

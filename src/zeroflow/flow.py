@@ -55,7 +55,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .equilibrium import Configuration, _residual_array
+from .equilibrium import Configuration, _require_in_domain, _residual_array
 from .errors import InsufficientDecay
 from .operator_core import EquationSpec, _spectrum, check_simple_spectrum, eigenvalue_gap
 
@@ -212,8 +212,7 @@ def integrate(
     of later attempts.
     """
     x = start.as_array()
-    if not spec.domain.contains(x):
-        raise ValueError("start configuration must lie inside the open domain")
+    _require_in_domain(spec, x)
     lo, hi = spec.domain.lower, spec.domain.upper
     n = x.size
     *lower, lam_n = _spectrum(spec, n)
@@ -237,7 +236,7 @@ def integrate(
     def finish(reason: TerminationReason) -> Trajectory:
         # the final state, unless the last snapshot already holds it
         if snaps[-1].t < t:
-            snaps.append(Snapshot(t, Configuration(tuple(x)), float(np.abs(f).max())))
+            snaps.append(Snapshot(t, Configuration(tuple(x)), rnorm))
         return Trajectory(tuple(snaps), spec, reason, accepted, rejected)
 
     if rnorm < opts.residual_tol:
@@ -346,7 +345,7 @@ def estimate_rate(traj: Trajectory, reference: Configuration) -> RateReport:
 
 
 def convergence_options(
-    n: int, t_max: float | None = None, residual_tol: float = 1e-9
+    n: int, t_max: float | None = None, residual_tol: float = FlowOptions.residual_tol
 ) -> FlowOptions:
     """Options for runs meant to terminate by residual.
 
@@ -377,48 +376,44 @@ def default_init(
 ) -> Configuration:
     """Deterministic starting configurations.
 
-    equispaced: n points splitting a bounded domain into n+1 equal parts;
-    {lower+1, ..., lower+n} on half-lines; integers centered at 0 on the
-    real line.
-    seeded: uniform draws from the middle tenth of the equispaced span,
-    sorted, from a seeded generator.
-    indexed: x_i = i (only sensible when the domain contains {1, ..., n}).
+    One rule lays out every start: the domain's shape picks a left end and
+    a width.  A bounded domain gives the whole interval; a half-line gives
+    a span of n + 1 that ends at its finite end; the real line gives a
+    span of n + 1 centred at 0.
+
+    equispaced: left + width * k / (n + 1) for k = 1..n, which splits a
+    bounded domain into n + 1 equal parts and gives {lower+1, ..., lower+n}
+    on (lower, inf).
+    indexed: the same points with the fixed left end 0 and width n + 1,
+    that is x_k = k.
+    seeded: sorted uniform draws from the middle tenth of the width, from
+    a seeded generator.
+
+    Equispaced and indexed points must lie inside the open domain.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     strategy = InitStrategy(strategy)
     lo, hi = spec.domain.lower, spec.domain.upper
-
+    width = n + 1.0
     if strategy is InitStrategy.INDEXED:
-        pts = np.arange(1.0, n + 1.0)
-        if not spec.domain.contains(pts):
-            raise ValueError("indexed start {1..n} leaves the domain")
-        return Configuration(tuple(pts))
-
-    bounded = spec.domain.is_bounded
-    if bounded:
-        center, span = 0.5 * (lo + hi), hi - lo
+        left = 0.0
+    elif spec.domain.is_bounded:
+        left, width = lo, hi - lo
     elif math.isfinite(lo):
-        center, span = lo + 0.5 * (n + 1.0), n + 1.0
+        left = lo
     elif math.isfinite(hi):
-        center, span = hi - 0.5 * (n + 1.0), n + 1.0
+        left = hi - width
     else:
-        center, span = 0.0, max(float(n + 1), 1.0)
+        left = -0.5 * width
 
-    if strategy is InitStrategy.EQUISPACED:
-        if bounded:
-            pts = lo + span * np.arange(1.0, n + 1.0) / (n + 1.0)
-        elif math.isfinite(lo):
-            pts = lo + np.arange(1.0, n + 1.0)
-        elif math.isfinite(hi):
-            pts = hi - np.arange(float(n), 0.0, -1.0)
-        else:
-            pts = np.arange(n, dtype=float) - (n - 1) / 2.0
-        return Configuration(tuple(pts))
-
-    if seed is None:
-        raise ValueError("seeded initialization requires a seed")
-    rng = np.random.default_rng(seed)
-    half = span / 20.0
-    pts = np.sort(rng.uniform(center - half, center + half, size=n))
+    if strategy is InitStrategy.SEEDED:
+        if seed is None:
+            raise ValueError("seeded initialization requires a seed")
+        rng = np.random.default_rng(seed)
+        middle, half = left + 0.5 * width, width / 20.0
+        pts = np.sort(rng.uniform(middle - half, middle + half, size=n))
+    else:
+        pts = left + width * np.arange(1.0, n + 1.0) / (n + 1.0)
+        _require_in_domain(spec, pts)
     return Configuration(tuple(pts))

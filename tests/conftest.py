@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from zeroflow import ClassicalFamily, make_classical
+from zeroflow import ClassicalFamily, Domain, EquationSpec, make_classical
 
 # representative parameter choices for the parametric families
 CLASSICAL = [
@@ -15,6 +17,31 @@ CLASSICAL = [
 ]
 
 CLASSICAL_SPECS = [(name, make_classical(fam)) for name, fam in CLASSICAL]
+
+
+# classical families moved by affine maps of x
+def jacobi_on(a, b, alpha, beta):
+    """Jacobi(alpha, beta) moved to (a, b): p = (x - a)(b - x),
+    q = (alpha + beta)(x - m) + s(alpha - beta), with m the midpoint and s
+    the half-width."""
+    m, s = 0.5 * (a + b), 0.5 * (b - a)
+    q0 = -(alpha + beta) * m + s * (alpha - beta)
+    return EquationSpec(-1.0, a + b, -a * b, alpha + beta, q0, Domain(a, b))
+
+
+def laguerre_right_of(a, alpha):
+    """Laguerre(alpha) moved to (a, inf): p = x - a, q = x - a - alpha."""
+    return EquationSpec(0.0, 1.0, -a, 1.0, -a - alpha, Domain(a, math.inf))
+
+
+def laguerre_left_of(b, alpha):
+    """Laguerre(alpha) mirrored onto (-inf, b): p = b - x, q = x + alpha - b."""
+    return EquationSpec(0.0, -1.0, b, 1.0, alpha - b, Domain(-math.inf, b))
+
+
+def hermite_at(mu, sigma):
+    """Hermite centred at mu with scale sigma: p = sigma^2, q = x - mu."""
+    return EquationSpec(0.0, 0.0, sigma * sigma, 1.0, -mu, Domain(-math.inf, math.inf))
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from zeroflow import (
     heat_propagate,
     integrate,
     make_classical,
+    newton_solve,
     oracle_zeros,
     poly_roots,
     residual,
@@ -128,6 +129,28 @@ class TestDefaultInit:
         assert np.all(x > -0.75) and np.all(x < -0.25)
         again = default_init(spec, 4, InitStrategy.SEEDED, seed=5)
         np.testing.assert_array_equal(x, again.as_array())
+
+    @pytest.mark.parametrize("n", [250, 500, 750, 1000])
+    def test_newton_workload_starts_are_byte_pinned(self, n):
+        # the equispaced starts the benchmark's Newton cases take, against
+        # the per-shape formulas they were first written with
+        k = np.arange(1.0, n + 1.0)
+        pinned = [
+            (LEG, -1.0 + 2.0 * k / (n + 1.0)),
+            (LAG, k),
+            (HER, k - (n + 1.0) / 2.0),
+        ]
+        for spec, expect in pinned:
+            got = default_init(spec, n).as_array()
+            assert got.tobytes() == expect.tobytes()
+
+    def test_integrate_and_newton_refuse_an_outside_start_alike(self):
+        start = Configuration((0.5, 1.5))
+        with pytest.raises(ValueError, match="inside the open domain") as flow_err:
+            integrate(LEG, start, FlowOptions(t_max=1.0))
+        with pytest.raises(ValueError) as newton_err:
+            newton_solve(LEG, start, tol=1e-10)
+        assert str(flow_err.value) == str(newton_err.value)
 
 
 class TestIntegrate:

@@ -33,7 +33,7 @@ from zeroflow.spectral import (
     _recurrence_zeros,
     eigenbasis_matrix,
 )
-from conftest import CLASSICAL_SPECS
+from conftest import CLASSICAL_SPECS, hermite_at, jacobi_on
 
 LAG = make_classical(ClassicalFamily.laguerre(0.0))
 LEG = make_classical(ClassicalFamily.legendre())
@@ -356,6 +356,24 @@ class TestOracleZeros:
     def test_requires_positive_degree(self):
         with pytest.raises(ValueError):
             oracle_zeros(LEG, 0)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+    def test_small_degree_zeros_away_from_origin(self):
+        # the n <= 12 path expands in monomials around 0, which loses the
+        # zeros once they sit away from it: 5.6e-3 off for Jacobi(0.3, 1.2)
+        # moved to (2, 3) and 1.4e-6 for Hermite shifted by 10; the
+        # references map scipy's nodes
+        n = 12
+        jacobi_nodes = scipy.special.roots_jacobi(n, 0.3, 1.2)[0]
+        cases = [
+            (jacobi_on(2.0, 3.0, 0.3, 1.2), 2.5 + 0.5 * jacobi_nodes),
+            (hermite_at(10.0, 1.0), 10.0 + scipy.special.roots_hermitenorm(n)[0]),
+        ]
+        errors = [
+            np.max(np.abs(oracle_zeros(spec, n).as_array() - ref) / np.maximum(1.0, np.abs(ref)))
+            for spec, ref in cases
+        ]
+        assert max(errors) < 1e-12, errors
 
 
 KERNEL_SPECS = [
