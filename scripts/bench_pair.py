@@ -1,13 +1,14 @@
 """Paired benchmark runs of a parent revision against a change.
 
     python3 scripts/bench_pair.py --workload flow --parent HEAD~1 \
-        --seeds 1-10 [--seconds 15] [--trace 0|1] [--out FILE]
+        [--change REV] --seeds 1-10 [--seconds 15] [--trace 0|1] [--out FILE]
 
-Run from the root of a checkout; the change is its working tree.  The
-parent revision is exported with ``git archive`` into a temporary
-directory, which is removed afterwards.  For every seed the script runs
-``bench/run.py`` once on each side, back to back, and alternates which
-side runs first.  It writes ``BENCH_<workload>.json`` (or ``--out``): the
+Run from the root of a checkout; the change is its working tree, or with
+``--change`` a revision, so that ``--parent HEAD --change HEAD`` measures
+the noise floor of two identical sides.  Each revision is exported with
+``git archive`` into a temporary directory, which is removed afterwards.
+For every seed the script runs ``bench/run.py`` once on each side, back to
+back, and alternates which side runs first.  It writes ``BENCH_<workload>.json`` (or ``--out``): the
 protocol, the environment, one row per run, the median and quartiles of
 every metric on each side, for how many seeds the change did better, and
 a verdict per metric (see ``verdict``), which it also prints.  For each
@@ -152,6 +153,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--parent", required=True, help="git revision of the parent")
+    ap.add_argument("--change", help="git revision of the change (default: the working tree)")
     ap.add_argument("--seeds", type=_seeds, default=_seeds("1-10"))
     ap.add_argument("--seconds", type=float, default=15.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -162,12 +164,16 @@ def main(argv=None) -> int:
         declared = json.load(fh)
     metrics = declared["per_layer" if args.trace else "end_to_end"]
     parent_id = _git("rev-parse", "--short", args.parent)
+    change_id = _git("rev-parse", "--short", args.change) if args.change else "working tree"
 
     rows, environment = [], None
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        trees = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
-        os.mkdir(trees["parent"])
-        _export(args.parent, trees["parent"])
+        trees = {"change": ROOT}
+        for side, rev in (("parent", args.parent), ("change", args.change)):
+            if rev:
+                trees[side] = os.path.join(tmp, side)
+                os.mkdir(trees[side])
+                _export(rev, trees[side])
         for k, seed in enumerate(args.seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for ran, side in zip(("first", "second"), order):
@@ -183,7 +189,7 @@ def main(argv=None) -> int:
         "command": f"python3 bench/run.py --workload {args.workload} --seed N "
         f"--seconds {args.seconds:g} --trace {args.trace}",
         "parent": parent_id,
-        "change": "working tree",
+        "change": change_id,
         "protocol": {
             "script": "python3 scripts/bench_pair.py " + " ".join(argv if argv is not None else sys.argv[1:]),
             "warmup": "bench/run.py makes one untimed call per code path before timing",

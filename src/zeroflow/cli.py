@@ -171,12 +171,14 @@ def _converged(traj: Trajectory) -> Trajectory:
 
 def _run(spec, n, method, tol, t_max, max_iter, init, seed) -> Configuration:
     """Zeros of the degree-n eigenpolynomial by one of _ROUTES; only the
-    iterative routes build a start, default_init(spec, n, init, seed)."""
+    iterative routes build a start, default_init(spec, n, init, seed).
+    max_iter = None keeps newton_solve's own iteration cap."""
     if method == _SPECTRAL:
         return oracle_zeros(spec, n)
     start = default_init(spec, n, init, seed)
     if method == _NEWTON:
-        return newton_solve(spec, start, tol=tol, max_iter=max_iter)
+        cap = {} if max_iter is None else {"max_iter": max_iter}
+        return newton_solve(spec, start, tol=tol, **cap)
     opts = convergence_options(n, t_max, tol)
     return _converged(integrate(spec, start, opts)).final.config
 
@@ -194,7 +196,7 @@ def cmd_solve(args) -> int:
     )
     opts_desc = {"tol": args.tol, "t_max": args.t_max, "init": args.init}
     payload = {
-        "zeros": [float(z) for z in config.points],
+        "zeros": list(config.points),
         "lambda": float(eigenvalue(spec, n)),
         "residual_norm": _max_residual(spec, config),
         "manifest": _manifest(desc, n, args.method, opts_desc, args.seed),
@@ -227,7 +229,7 @@ def cmd_verify(args) -> int:
     spec, _ = _build_spec(args)
     with open(args.points_file, encoding="utf-8") as fh:
         pts = [float(line) for line in fh if line.strip()]
-    config = Configuration(tuple(pts))
+    config = Configuration(pts)
     report = verify_theorem1(spec, config, tol=args.tol)
     print(f"n               : {config.n}")
     print(f"lambda          : {_fmt(report.lambda_recovered)}")
@@ -285,7 +287,7 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             try:
                 config = _run(
-                    spec, n, method, tol, None, 200, "equispaced", None
+                    spec, n, method, tol, None, None, "equispaced", None
                 )
             except ZeroflowError as exc:
                 log.warning("bench %s n=%d failed: %s", method, n, exc)
@@ -329,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_spec_args(ps)
     _add_run_args(ps, 1e-10)
     ps.add_argument("--method", choices=_ROUTES, default=_SPECTRAL)
-    ps.add_argument("--max-iter", type=int, default=200, dest="max_iter")
+    ps.add_argument("--max-iter", type=int, dest="max_iter")
     ps.set_defaults(func=cmd_solve)
 
     pf = sub.add_parser("flow", help="emit a CSV particle trajectory")

@@ -129,7 +129,7 @@ class Trajectory:
 
     def positions(self) -> np.ndarray:
         """Snapshot positions as an (n_snapshots, n) array."""
-        return np.array([s.config.points for s in self.snapshots])
+        return np.stack([s.config.as_array() for s in self.snapshots])
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ def integrate(
 
     f = _residual_array(spec, x)
     rnorm = float(np.abs(f).max())
-    snaps = [Snapshot(0.0, Configuration(tuple(x)), rnorm)]
+    snaps = [Snapshot(0.0, Configuration(x), rnorm)]
     t = 0.0
     h = min(_INITIAL_STEP, t_max)
     accepted = rejected = 0
@@ -236,7 +236,7 @@ def integrate(
     def finish(reason: TerminationReason) -> Trajectory:
         # the final state, unless the last snapshot already holds it
         if snaps[-1].t < t:
-            snaps.append(Snapshot(t, Configuration(tuple(x)), rnorm))
+            snaps.append(Snapshot(t, Configuration(x), rnorm))
         return Trajectory(tuple(snaps), spec, reason, accepted, rejected)
 
     if rnorm < opts.residual_tol:
@@ -300,7 +300,7 @@ def integrate(
         if t >= t_max * (1.0 - 1e-15):
             return finish(TerminationReason.MAX_TIME)
         if accepted % opts.snapshot_stride == 0:
-            snaps.append(Snapshot(t, Configuration(tuple(x)), rnorm))
+            snaps.append(Snapshot(t, Configuration(x), rnorm))
         h *= _step_factor(err)
 
 
@@ -416,4 +416,4 @@ def default_init(
     else:
         pts = left + width * np.arange(1.0, n + 1.0) / (n + 1.0)
         _require_in_domain(spec, pts)
-    return Configuration(tuple(pts))
+    return Configuration(pts)

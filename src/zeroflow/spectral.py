@@ -25,12 +25,11 @@ evaluates for all zeros at once and rescales by exact powers of two
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .equilibrium import Configuration, monic_from_roots
+from .equilibrium import Configuration, _Vector, monic_from_roots
 from .errors import PropagatorOverflow, RootCountMismatch, ZeroflowError
 from .operator_core import (
     Domain,
@@ -59,36 +58,30 @@ _MAX_GRID = 2**22
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class PolynomialCoefficients:
+class PolynomialCoefficients(_Vector):
     """Real polynomial in the monomial basis, ascending degree order.
 
     The leading coefficient must be nonzero; monic variants carry a leading
     coefficient of exactly 1.
     """
 
-    coeffs: tuple[float, ...]
+    __slots__ = ()
+    _FIELD = "coeffs"
 
-    def __post_init__(self):
-        cs = tuple(float(c) for c in self.coeffs)
-        if len(cs) < 1:
-            raise ValueError("need at least one coefficient")
-        if not all(math.isfinite(c) for c in cs):
-            raise ValueError("coefficients must be finite")
-        if cs[-1] == 0.0:
+    def __init__(self, coeffs: Iterable[float]):
+        super().__init__(coeffs, "need at least one coefficient", "coefficients")
+        if self._v[-1] == 0.0:
             raise ValueError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coeffs", cs)
 
     @classmethod
     def from_roots(cls, roots: Iterable[float]) -> "PolynomialCoefficients":
-        return cls(tuple(monic_from_roots(tuple(roots))))
+        return cls(monic_from_roots(roots))
+
+    coeffs = property(_Vector._tuple)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=float)
+        return self._v.size - 1
 
 
 def _require_simple(spec: EquationSpec, n: int) -> None:
@@ -135,7 +128,7 @@ def eigen_coefficients(spec: EquationSpec, n: int) -> PolynomialCoefficients:
     Requires a simple increasing spectrum up to n.
     """
     _require_simple(spec, n)
-    return PolynomialCoefficients(tuple(_monic_column(_bands(spec, n), n)))
+    return PolynomialCoefficients(_monic_column(_bands(spec, n), n))
 
 
 def _samuelson_interval(c: np.ndarray) -> tuple[float, float]:
@@ -262,7 +255,7 @@ def poly_roots(coeffs: PolynomialCoefficients, domain: Domain) -> Configuration:
     roots = np.sort(np.concatenate((found, exact)))
     if len(roots) != n or np.any(np.diff(roots) <= 0.0):
         raise RootCountMismatch(n, len(np.unique(roots)), "roots merged")
-    return Configuration(tuple(roots))
+    return Configuration(roots)
 
 
 def _recurrence(spec: EquationSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -375,7 +368,7 @@ def _recurrence_zeros(spec: EquationSpec, n: int) -> Configuration:
     x = x - _newton_correction(b, s, x)
     if np.any(np.diff(x) <= 0.0):
         raise RootCountMismatch(n, len(np.unique(x)), "roots merged")
-    return Configuration(tuple(x))
+    return Configuration(x)
 
 
 def oracle_zeros(spec: EquationSpec, n: int) -> Configuration:
@@ -426,4 +419,4 @@ def heat_propagate(
         )
     a = np.linalg.solve(Y, coeffs.as_array())
     out = Y @ (a * np.exp(lam * t))
-    return PolynomialCoefficients(tuple(out))
+    return PolynomialCoefficients(out)

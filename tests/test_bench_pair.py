@@ -2,6 +2,7 @@
 values."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -97,3 +98,46 @@ def test_seed_lists_mix_ranges_and_single_seeds():
     assert seeds("1,4,7") == [1, 4, 7]
     assert seeds("21-30,101") == list(range(21, 31)) + [101]
     assert seeds("5") == [5]
+
+
+def _stub_sides(monkeypatch):
+    """Replace git, the export and the benchmark run; return the exports
+    and the tree of every run, in order."""
+    metrics = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())["end_to_end"]
+    exported, ran = [], []
+
+    def run(tree, args, seed):
+        ran.append(tree)
+        values = {m["name"]: {"value": 1.0} for m in metrics}
+        return {"result": {"correct": True, "attempted": 1, "failed": 0, "metrics": values},
+                "details": {"passes": 1, "cpu_per_wall": 1.0, "environment": {}}}  # fmt: skip
+
+    monkeypatch.setattr(bench_pair, "_git", lambda *args: f"id:{args[-1]}")
+    monkeypatch.setattr(bench_pair, "_export", lambda ref, into: exported.append((ref, into)))
+    monkeypatch.setattr(bench_pair, "_run", run)
+    return exported, ran
+
+
+def test_a_change_revision_is_exported_like_the_parent(monkeypatch, tmp_path):
+    exported, ran = _stub_sides(monkeypatch)
+    out = tmp_path / "report.json"
+    argv = ["--workload", "flow", "--parent", "HEAD", "--change", "HEAD",
+            "--seeds", "1-2", "--out", str(out)]  # fmt: skip
+    assert bench_pair.main(argv) == 0
+    (parent_ref, parent_tree), (change_ref, change_tree) = exported
+    assert parent_ref == change_ref == "HEAD"
+    assert parent_tree != change_tree and bench_pair.ROOT not in (parent_tree, change_tree)
+    # seed 1 runs the parent first, seed 2 the change
+    assert ran == [parent_tree, change_tree, change_tree, parent_tree]
+    report = json.loads(out.read_text())
+    assert report["parent"] == "id:HEAD" and report["change"] == "id:HEAD"
+
+
+def test_the_default_change_is_the_working_tree(monkeypatch, tmp_path):
+    exported, ran = _stub_sides(monkeypatch)
+    out = tmp_path / "report.json"
+    argv = ["--workload", "flow", "--parent", "HEAD~1", "--seeds", "1", "--out", str(out)]
+    assert bench_pair.main(argv) == 0
+    [(ref, tree)] = exported
+    assert ref == "HEAD~1" and ran == [tree, bench_pair.ROOT]
+    assert json.loads(out.read_text())["change"] == "working tree"

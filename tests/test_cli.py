@@ -43,6 +43,23 @@ class TestSolve:
         payload = json.loads(out)
         assert abs(payload["zeros"][0]) < 1e-12
 
+    def test_newton_keeps_its_own_iteration_cap(self, capsys, monkeypatch):
+        # without --max-iter the CLI passes no cap, so newton_solve's
+        # default applies
+        caps = []
+
+        def recording(spec, start, tol, **kwargs):
+            caps.append(kwargs)
+            return oracle_zeros(spec, start.n)
+
+        monkeypatch.setattr(cli, "newton_solve", recording)
+        leg = ("--family", "legendre")
+        assert run(capsys, "solve", *leg, "--n", "3", "--method", "newton")[0] == 0
+        assert run(capsys, "bench", *leg, "--n-list", "3", "--methods", "newton")[0] == 0
+        assert run(capsys, "solve", *leg, "--n", "3", "--method", "newton",
+                   "--max-iter", "7")[0] == 0  # fmt: skip
+        assert caps == [{}, {}, {"max_iter": 7}]
+
     def test_raw_coefficients_match_family(self, capsys):
         code, raw_out, _ = run(
             capsys, "solve", "--p", "0,1,0", "--q", "0,1", "--n", "5",

@@ -54,6 +54,44 @@ class TestConfiguration:
         assert cfg.points == (0.5, 1.5)
         assert cfg.n == 2
 
+    def test_as_array_is_the_stored_read_only_array(self):
+        cfg = Configuration((0.5, 1.5))
+        x = cfg.as_array()
+        assert x is cfg.as_array()
+        assert x.dtype == np.float64 and not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        assert cfg.points == (0.5, 1.5)
+
+    def test_copies_the_callers_array(self):
+        x = np.array([0.5, 1.5])
+        cfg = Configuration(x)
+        x[0] = 0.0
+        assert x.flags.writeable and cfg.points == (0.5, 1.5)
+
+    @pytest.mark.parametrize(
+        "make",
+        [tuple, list, np.array, lambda v: (x for x in v)],
+        ids=["tuple", "list", "ndarray", "generator"],
+    )
+    def test_accepts_tuple_list_array_and_generator(self, make):
+        cfg = Configuration(make([0.5, 1.5, 2.5]))
+        assert cfg.points == (0.5, 1.5, 2.5)
+        assert all(type(x) is float for x in cfg.points)
+
+    def test_rejects_a_two_dimensional_input(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Configuration(np.array([[0.5, 1.5]]))
+
+    def test_equality_and_hash_are_by_value(self):
+        cfg = Configuration((0.5, 1.5))
+        same = Configuration(np.array([0.5, 1.5]))
+        assert cfg == same and hash(cfg) == hash(same)
+        assert cfg != Configuration((0.5, 1.25))
+        assert cfg != Configuration((0.5,))
+        assert cfg != (0.5, 1.5)
+        assert repr(cfg) == "Configuration(points=(0.5, 1.5))"
+
 
 class TestResidual:
     def test_hermite_degree2_zeros(self):
@@ -217,6 +255,18 @@ class TestVerifyTheorem1:
         assert report.is_equilibrium
         assert report.lambda_recovered == pytest.approx(eigenvalue(spec, 1))
         assert report.operator_defect < 1e-13
+
+    @pytest.mark.parametrize(
+        "spec,n,bound", [(LAG, 100, 1e-12), (HER, 200, 1e-3)], ids=["lag100", "her200"]
+    )
+    def test_defect_stays_finite_where_the_coefficient_norm_overflows(
+        self, spec, n, bound
+    ):
+        # unscaled, ||c|| overflows: Laguerre(0) at n = 100 read exactly 0
+        # (max|c| = 4.9e164) and Hermite at n = 200 NaN, with overflow
+        # warnings, which the suite turns into errors
+        report = verify_theorem1(spec, oracle_zeros(spec, n), tol=1e-9)
+        assert 0.0 < report.operator_defect < bound
 
     def test_biconditional_both_numbers_move_together(self, rng):
         for n in (2, 4, 6, 8):

@@ -162,6 +162,16 @@ class TestIntegrate:
         assert traj.final.residual_norm < 1e-9
         np.testing.assert_allclose(traj.final.config.points, L3_ZEROS, atol=1e-6)
 
+    def test_positions_stack_the_snapshot_arrays(self):
+        traj = integrate(
+            LAG, Configuration((1.0, 2.0, 3.0)), convergence_options(3, 40.0, 1e-9)
+        )
+        pos = traj.positions()
+        assert pos.shape == (len(traj.snapshots), 3)
+        assert pos.tobytes() == b"".join(
+            s.config.as_array().tobytes() for s in traj.snapshots
+        )
+
     def test_start_at_zeros_converges_immediately(self):
         cfg = oracle_zeros(LEG, 5)
         traj = integrate(LEG, cfg, FlowOptions(t_max=1.0, residual_tol=1e-6))

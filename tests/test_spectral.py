@@ -123,12 +123,45 @@ class TestPolynomialCoefficients:
             ((1.0, math.nan), "must be finite"),
             ((math.inf, 1.0), "must be finite"),
             ((1.0, 0.0), "leading coefficient must be nonzero"),
+            (np.ones((2, 2)), "one-dimensional"),
         ],
-        ids=["empty", "nan", "inf", "zero_leading"],
+        ids=["empty", "nan", "inf", "zero_leading", "2d"],
     )
     def test_rejects(self, coeffs, reason):
         with pytest.raises(ValueError, match=reason):
             PolynomialCoefficients(coeffs)
+
+    def test_as_array_is_the_stored_read_only_array(self):
+        c = PolynomialCoefficients((-1.0, 0.0, 1.0))
+        a = c.as_array()
+        assert a is c.as_array()
+        assert a.dtype == np.float64 and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 2.0
+        assert c.coeffs == (-1.0, 0.0, 1.0) and c.degree == 2
+
+    @pytest.mark.parametrize(
+        "make",
+        [tuple, list, np.array, lambda v: (x for x in v)],
+        ids=["tuple", "list", "ndarray", "generator"],
+    )
+    def test_accepts_tuple_list_array_and_generator(self, make):
+        c = PolynomialCoefficients(make([-1.0, 0.0, 1.0]))
+        assert c.coeffs == (-1.0, 0.0, 1.0)
+        assert all(type(x) is float for x in c.coeffs)
+
+    def test_from_roots_takes_any_iterable(self):
+        want = PolynomialCoefficients((-2.0, 1.0, 1.0))
+        assert PolynomialCoefficients.from_roots(r for r in (-2.0, 1.0)) == want
+        assert PolynomialCoefficients.from_roots(np.array([-2.0, 1.0])) == want
+
+    def test_equality_and_hash_are_by_value(self):
+        c = PolynomialCoefficients((-1.0, 0.0, 1.0))
+        same = PolynomialCoefficients(np.array([-1.0, 0.0, 1.0]))
+        assert c == same and hash(c) == hash(same)
+        assert c != PolynomialCoefficients((-1.0, 1.0))
+        assert c != PolynomialCoefficients((-2.0, 0.0, 1.0))
+        assert repr(c) == "PolynomialCoefficients(coeffs=(-1.0, 0.0, 1.0))"
 
 
 class TestPolyRoots:
