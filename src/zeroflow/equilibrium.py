@@ -13,6 +13,12 @@ and vanishes exactly when prod_k (x - x_k) is an eigenfunction of
         - sum_i [ (a+1)/2 * log|x_i - 1| + (b+1)/2 * log|x_i + 1| ]
 
 so equilibria of R coincide with stationary points of E.
+
+The residual and Jacobian formulas are written once, row by row
+(`_pair_rows`, `_residual_rows`, `_jacobian_rows`): `residual`,
+`residual_jacobian`, the flow's right-hand side and each Newton iteration
+build their rows from them.  Newton builds only the right half of the rows
+when the problem is its own mirror image (see `newton_solve`).
 """
 
 from __future__ import annotations
@@ -121,22 +127,39 @@ def _require_in_domain(spec: EquationSpec, x: np.ndarray) -> None:
         )
 
 
-def _inverse_differences(x: np.ndarray) -> np.ndarray:
-    """1/(x_i-x_k) as an n x n matrix.  The difference matrix's diagonal is
-    +inf, whose reciprocal is exactly 0, so no second pass clears it."""
-    inv = x[:, None] - x
-    np.fill_diagonal(inv, np.inf)
+def _pair_rows(x: np.ndarray, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """1/(x_i-x_k) and S_i = sum_{k!=i} 2/(x_i-x_k) for the rows
+    i = lo..n-1, all of them by default.  The difference matrix's diagonal
+    is +inf, whose reciprocal is exactly 0, so no second pass clears it.
+    Each row is built and summed on its own, so its bytes do not depend on
+    lo."""
+    inv = x[lo:, None] - x
+    inv.flat[lo :: x.size + 1] = np.inf  # the entries (i, i)
     np.reciprocal(inv, out=inv)
+    return inv, 2.0 * inv.sum(axis=1)
+
+
+def _residual_rows(spec: EquationSpec, xr: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """R_i at the points xr, given their pair sums s."""
+    return spec.p(xr) * s + spec.dp(xr) - spec.q(xr)
+
+
+def _jacobian_rows(
+    spec: EquationSpec, x: np.ndarray, lo: int, inv: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """Rows lo..n-1 of dR_i/dx_j, made in place from the rows inv and their
+    pair sums s that `_pair_rows(x, lo)` returned."""
+    xr = x[lo:]
+    np.square(inv, out=inv)
+    t = 2.0 * inv.sum(axis=1)
+    px = spec.p(xr)
+    inv *= (2.0 * px)[:, None]
+    inv.flat[lo :: x.size + 1] = spec.dp(xr) * s - px * t + spec.ddp() - spec.dq()
     return inv
 
 
-def _pair_sums(x: np.ndarray) -> np.ndarray:
-    """S_i = sum_{k!=i} 2/(x_i-x_k) for each i."""
-    return 2.0 * _inverse_differences(x).sum(axis=1)
-
-
 def _residual_array(spec: EquationSpec, x: np.ndarray) -> np.ndarray:
-    return spec.p(x) * _pair_sums(x) + spec.dp(x) - spec.q(x)
+    return _residual_rows(spec, x, _pair_rows(x)[1])
 
 
 def residual(spec: EquationSpec, config: Configuration) -> np.ndarray:
@@ -155,16 +178,26 @@ def residual_jacobian(spec: EquationSpec, config: Configuration) -> np.ndarray:
     """
     x = config.as_array()
     _require_in_domain(spec, x)
-    n = x.size
     # one n x n buffer: 1/(x_i-x_k), then its square, then the Jacobian
-    J = _inverse_differences(x)
-    s = 2.0 * J.sum(axis=1)
-    np.square(J, out=J)
-    t = 2.0 * J.sum(axis=1)
-    px = spec.p(x)
-    J *= (2.0 * px)[:, None]
-    J[np.arange(n), np.arange(n)] = spec.dp(x) * s - px * t + spec.ddp() - spec.dq()
-    return J
+    return _jacobian_rows(spec, x, 0, *_pair_rows(x))
+
+
+def _is_mirror(spec: EquationSpec, x: np.ndarray) -> bool:
+    """Whether the problem at x is its own mirror image x -> -x: p even,
+    q odd, the domain symmetric about 0, and x == -x[::-1] exactly.
+
+    p constant with q = 0 is left out.  There R is unchanged by a common
+    shift of the points, so J has the all-ones null vector everywhere and
+    the full solve raises SingularJacobian; the mirror system leaves that
+    vector out and would follow the points out to infinity."""
+    return (
+        spec.p1 == 0.0
+        and spec.q0 == 0.0
+        and (spec.p2 != 0.0 or spec.q1 != 0.0)
+        and spec.domain.lower == -spec.domain.upper
+        and x.size >= 2
+        and np.array_equal(x, -x[::-1])
+    )
 
 
 def newton_solve(
@@ -180,26 +213,49 @@ def newton_solve(
     At most max_iter steps are taken; with max_iter <= 0 only the start is
     checked against tol.  Raises MaxIterExceeded (carrying the last iterate
     and its residual norm) or SingularJacobian.
+
+    Each iteration builds the rows of 1/(x_i-x_k) once: their row sums give
+    the residual, and only when the stop test fails are they squared in
+    place into the Jacobian.  When the problem is its own mirror image
+    (p even, q odd, the domain symmetric about 0, n >= 2 and the start
+    exactly equal to minus its reverse), R_(n-1-i) = -R_i and the step is
+    antisymmetric too, so only the right h = n//2 rows are built and the
+    h x h system J[:, n-h:] - J[:, h-1::-1] is solved; the step is mirrored
+    back, with the middle point of odd n held at exactly 0.  Rounding is
+    symmetric, so every iterate and the answer are exact mirror images.
+    The stop test then reads the right half's residuals.  Any other input
+    solves the full n x n system, with Legendre's equispaced start among
+    them: -1 + 2k/(n+1) rounds differently on the two sides of 0 for most n.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     x = start.as_array()
     _require_in_domain(spec, x)
+    n = x.size
+    h = n // 2 if _is_mirror(spec, x) else n
+    lo = n - h
 
     for iteration in itertools.count():
-        r = _residual_array(spec, x)
+        inv, s = _pair_rows(x, lo)
+        r = _residual_rows(spec, x[lo:], s)
         rnorm = float(np.max(np.abs(r)))
         if rnorm < tol:
             return Configuration(x)
         if iteration >= max_iter:
             raise MaxIterExceeded(Configuration(x), rnorm)
-        J = residual_jacobian(spec, Configuration(x))
+        J = _jacobian_rows(spec, x, lo, inv, s)
+        if lo:
+            # delta_(h-1-m) = -delta_(n-h+m); the middle column of odd n
+            # meets delta = 0
+            J = J[:, lo:] - J[:, h - 1 :: -1]
         try:
             delta = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(
                 f"singular Jacobian at residual norm {rnorm:.3e}"
             ) from exc
+        if lo:
+            delta = np.concatenate((-delta[::-1], np.zeros(lo - h), delta))
         step = 1.0
         for _ in range(40):
             trial = x + step * delta
@@ -306,7 +362,7 @@ def stieltjes_gradient(
     x = config.as_array()
     _check_energy_args(alpha, beta, x)
     return (
-        -0.5 * _pair_sums(x)
+        -0.5 * _pair_rows(x)[1]
         - 0.5 * (alpha + 1.0) / (x - 1.0)
         - 0.5 * (beta + 1.0) / (x + 1.0)
     )

@@ -11,6 +11,8 @@ from zeroflow import (
     MaxIterExceeded,
     PointOnBoundary,
     SingularJacobian,
+    ZeroflowError,
+    default_init,
     eigenvalue,
     make_classical,
     newton_solve,
@@ -21,11 +23,13 @@ from zeroflow import (
     stieltjes_gradient,
     verify_theorem1,
 )
+from zeroflow import equilibrium
 from conftest import CLASSICAL_SPECS, random_config
 
 HER = make_classical(ClassicalFamily.hermite())
 LEG = make_classical(ClassicalFamily.legendre())
 LAG = make_classical(ClassicalFamily.laguerre(0.0))
+JAC = make_classical(ClassicalFamily.jacobi(0.3, 1.2))
 
 INV_SQRT3 = 0.57735026918962576
 L3_ZEROS = (0.41577455678347908, 2.2942803602790417, 6.2899450829374792)
@@ -230,6 +234,114 @@ class TestNewtonSolve:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             newton_solve(HER, Configuration((0.5,)), tol=0.0)
+
+
+def _mirrored_default_init(spec, n):
+    """The right half of the equispaced start and its mirror image, with 0
+    in the middle for odd n."""
+    right = default_init(spec, n).as_array()[n - n // 2 :]
+    return Configuration(np.concatenate((-right[::-1], np.zeros(n % 2), right)))
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Copies of the (matrix, right-hand side) pairs np.linalg.solve is
+    given."""
+    systems = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        systems.append((a.copy(), b.copy()))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return systems
+
+
+class TestNewtonMirror:
+    # p even, q odd, a domain symmetric about 0 and a start equal to minus
+    # its reverse: Newton solves for the right half only
+    @pytest.mark.parametrize("n", [2, 3, 250, 251])
+    @pytest.mark.parametrize(
+        "spec,start",
+        [
+            (HER, default_init),
+            (LEG, _mirrored_default_init),
+            (make_classical(ClassicalFamily.jacobi(0.7, 0.7)), _mirrored_default_init),
+        ],
+        ids=["hermite", "legendre", "jacobi(0.7,0.7)"],
+    )
+    def test_answer_is_an_exact_mirror_image(self, spec, start, n, solved):
+        x = newton_solve(spec, start(spec, n), tol=2e-13 * n).as_array()
+        h = n // 2
+        assert x[n - h :].tobytes() == (-x[h - 1 :: -1]).tobytes()
+        if n % 2:
+            assert x[h : h + 1].tobytes() == np.zeros(1).tobytes()
+        ref = oracle_zeros(spec, n).as_array()
+        assert np.all(np.abs(x - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+        assert solved and {a.shape for a, _ in solved} == {(h, h)}
+
+    @pytest.mark.parametrize(
+        "spec,start",
+        [
+            (JAC, _mirrored_default_init),
+            (HER, lambda spec, n: default_init(spec, n, "seeded", seed=1)),
+        ],
+        ids=["jacobi(0.3,1.2)", "hermite-seeded"],
+    )
+    def test_other_inputs_solve_the_full_system(self, spec, start, solved):
+        n = 40
+        newton_solve(spec, start(spec, n), tol=1e-10)
+        assert solved and {a.shape for a, _ in solved} == {(n, n)}
+
+    def test_single_point_at_the_origin_returns_at_once(self, solved):
+        start = Configuration((0.0,))
+        assert newton_solve(HER, start, tol=1e-12) == start
+        assert solved == []
+
+    def test_translation_invariant_spec_keeps_the_full_solve(self, solved):
+        # p = 1, q = 0: the mirror system would leave out the all-ones null
+        # vector and follow the points out to +-2^40, so this start solves
+        # the full system and fails as test_singular_jacobian does
+        spec = EquationSpec(0.0, 0.0, 1.0, 0.0, 0.0, Domain(-math.inf, math.inf))
+        with pytest.raises(ZeroflowError) as exc_info:
+            newton_solve(spec, Configuration((-0.5, 0.5)), tol=1e-12)
+        assert type(exc_info.value) is SingularJacobian
+        assert [a.shape for a, _ in solved] == [(2, 2)]
+
+
+class TestFormulasStatedOnce:
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    @pytest.mark.parametrize(
+        "spec",
+        [make_classical(ClassicalFamily.laguerre(0.5)), JAC, HER],
+        ids=["laguerre(0.5)", "jacobi(0.3,1.2)", "hermite"],
+    )
+    def test_newton_rows_equal_the_public_functions(self, spec, n, rng):
+        cfg = Configuration(random_config(rng, spec, n))
+        x = cfg.as_array()
+        r, J = residual(spec, cfg), residual_jacobian(spec, cfg)
+        for lo in (0, n - n // 2):  # all rows, then the right-half rows
+            inv, s = equilibrium._pair_rows(x, lo)
+            assert equilibrium._residual_rows(spec, x[lo:], s).tobytes() == r[lo:].tobytes()
+            rows = equilibrium._jacobian_rows(spec, x, lo, inv, s)
+            assert rows.tobytes() == J[lo:].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 51])
+    def test_factored_systems_come_from_the_public_functions(self, n, solved):
+        # the full system is (J, -R); the mirror one takes the right h rows
+        # and folds the columns as J[:, n-h:] - J[:, h-1::-1]
+        h = n // 2
+        for spec, start in ((JAC, default_init(LEG, n)), (HER, default_init(HER, n))):
+            solved.clear()
+            newton_solve(spec, start, tol=1e-10)
+            r, J = residual(spec, start), residual_jacobian(spec, start)
+            if spec is JAC:
+                want = J, -r
+            else:
+                want = J[n - h :, n - h :] - J[n - h :, h - 1 :: -1], -r[n - h :]
+            a, b = solved[0]
+            assert a.tobytes() == want[0].tobytes() and b.tobytes() == want[1].tobytes()
 
 
 class TestVerifyTheorem1:
