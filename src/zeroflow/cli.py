@@ -14,6 +14,9 @@ reference zeros before it integrates, so a spec the oracle refuses is
 refused with the oracle's reason; it records every step, with step
 tolerances tied below --tol so that its fit window, down to 1e-9 of the
 initial error, is resolved.
+verify reports the residual and the eigenfunction defect on the oracle's
+three-term recurrence, and refuses what the oracle refuses (a degenerate
+spectrum, some g_k <= 0) with exit 2.
 bench times one cold call per route: a smoke table, not a measurement
 (bench/ and scripts/bench_pair.py measure).  Numbers are serialized with
 17 significant digits so results round-trip exactly; identical arguments

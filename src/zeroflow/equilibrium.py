@@ -34,8 +34,10 @@ from .operator_core import (
     ClassicalFamily,
     Domain,
     EquationSpec,
+    _newton_correction,
+    _orthonormal_recurrence,
+    check_simple_spectrum,
     eigenvalue,
-    operator_matrix,
 )
 
 __all__ = [
@@ -113,6 +115,14 @@ class Configuration(_Vector):
 
 @dataclass(frozen=True)
 class EquilibriumReport:
+    """Both sides of Theorem 1 at one configuration (verify_theorem1).
+
+    residual_norm is max_i |R_i|, and is_equilibrium is residual_norm < tol.
+    lambda_recovered is eigenvalue(spec, n).  operator_defect is the
+    eigenfunction side, max_i |y_n(x_i) / y_n'(x_i)| / max(1, max_i |x_i|):
+    0 exactly at the zeros of y_n, inf where y_n' = 0.
+    """
+
     residual_norm: float
     lambda_recovered: float
     operator_defect: float
@@ -267,48 +277,42 @@ def newton_solve(
         x = trial
 
 
-def monic_from_roots(points: Iterable[float]) -> np.ndarray:
-    """Ascending coefficients of prod_k (x - x_k); leading coefficient 1."""
-    c = np.array([1.0])
-    for r in points:
-        c = np.concatenate(([0.0], c)) - float(r) * np.concatenate((c, [0.0]))
-    return c
-
-
 def verify_theorem1(
     spec: EquationSpec, config: Configuration, tol: float
 ) -> EquilibriumReport:
     """Check both sides of the equilibrium <-> eigenfunction equivalence.
 
-    Expands the monic polynomial with the given roots, applies the operator
-    matrix, and reports both the relative operator defect
-    ||M c - lambda_n c|| / ||c|| and the residual max-norm.  lambda is not
-    fitted: for a monic candidate the leading coefficient forces
-    lambda = eigenvalue(spec, n).  c is scaled by an exact power of two
-    first, which leaves the defect unchanged wherever its norms fit in
-    double range and keeps them finite where they would not.
+    The residual side is the max-norm of R.  The eigenfunction side asks
+    whether the monic polynomial with the given roots is y_n, the degree-n
+    eigenpolynomial; lambda is not fitted, since a monic candidate's leading
+    coefficient forces lambda = eigenvalue(spec, n).  Its defect is
 
-    The defect is measured on monomial coefficients, whose cancellation
-    grows with n, so at large n it stops meaning anything while the
-    residual side (is_equilibrium) stays reliable: at the exact Legendre
-    zeros it reads 3.5e-6 at n = 60, 0.92 at n = 100 and 4.0e4 at n = 200.
-    ROADMAP item 2 replaces it by a defect on the three-term recurrence.
-    Where the expansion itself overflows (Laguerre(0) at n = 200) the
-    defect is NaN.
+        max_i |delta_i| / max(1, max_i |x_i|),  delta_i = y_n(x_i) / y_n'(x_i),
+
+    the relative Newton step that would move each x_i onto a zero of y_n.
+    delta comes from the oracle's own three-term recurrence
+    (operator_core._newton_correction), rescaled by exact powers of two, so
+    the defect keeps its meaning at every n: at the oracle zeros it reads
+    about 1e-16 for Legendre at n = 1000 and Laguerre(0) at n = 200, and a
+    zero moved by d reads d / max(1, max_i |x_i|).  A point where
+    y_n' = 0 reads inf, with no warning.
+
+    The recurrence refuses what the oracle refuses, with the same errors:
+    DegenerateSpectrumError unless the spectrum is simple and increasing up
+    to n, then RootCountMismatch for a recurrence coefficient g_k <= 0.
     """
+    # residual refuses points outside the domain before any spectral refusal
+    rnorm = float(np.max(np.abs(residual(spec, config))))
+    if (degenerate := check_simple_spectrum(spec, config.n)) is not None:
+        raise degenerate
+    b, s = _orthonormal_recurrence(spec, config.n)
     x = config.as_array()
-    _require_in_domain(spec, x)
-    n = config.n
-    c = monic_from_roots(x)
-    c = np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])
-    M = operator_matrix(spec, n)
-    lam = eigenvalue(spec, n)
-    defect = float(np.linalg.norm(M @ c - lam * c) / np.linalg.norm(c))
-    rnorm = float(np.max(np.abs(_residual_array(spec, x))))
+    with np.errstate(divide="ignore"):
+        delta = float(np.max(np.abs(_newton_correction(b, s, x))))
     return EquilibriumReport(
         residual_norm=rnorm,
-        lambda_recovered=lam,
-        operator_defect=defect,
+        lambda_recovered=eigenvalue(spec, config.n),
+        operator_defect=delta / max(1.0, float(np.max(np.abs(x)))),
         is_equilibrium=bool(rnorm < tol),
     )
 

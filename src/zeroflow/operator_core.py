@@ -16,6 +16,14 @@ family and the classical orthogonal polynomials are eigenfunctions.
 check_simple_spectrum returns the DegenerateSpectrumError that names the
 first pair of eigenvalues that fails to increase, or None.  Only this module
 lists lambda_0 .. lambda_n (_spectrum) and solves p = 0 (_real_roots).
+
+The private kernels of the eigenpolynomials live here too, below the
+modules that use them: the monic column by back-substitution
+(_monic_column), the three-term recurrence in closed form (_recurrence),
+its refusal when some g_k <= 0 leaves no positive weight
+(_orthonormal_recurrence), and the one evaluation of y_n / y_n' at given
+points (_newton_correction).  spectral's oracle and
+equilibrium.verify_theorem1 both read them.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError
+from .errors import DegenerateSpectrumError, RootCountMismatch
 
 __all__ = [
     "Domain",
@@ -310,3 +318,121 @@ def check_simple_spectrum(
         if not lam[k] > lam[k - 1]:
             return DegenerateSpectrumError(k - 1, k, lam[k - 1], lam[k])
     return None
+
+
+def _monic_column(bands: tuple[list[float], ...], k: int) -> list[float]:
+    """Monic degree-k eigenpolynomial (ascending) from the bands of the
+    operator matrix up to any n >= k (_bands): c_k = 1 and, upward,
+
+        c_j = (M[j][j+1] c_(j+1) + M[j][j+2] c_(j+2)) / (lambda_k - lambda_j)
+
+    Row j reads rows below it only, so the column does not depend on n.
+    Python floats: at these degrees numpy's per-call cost would dominate.
+    """
+    lam, band1, band2 = bands
+    c = [0.0] * k + [1.0]
+    for j in range(k - 1, -1, -1):
+        row = band1[j] * c[j + 1]
+        if j + 2 <= k:
+            row += band2[j] * c[j + 2]
+        c[j] = row / (lam[k] - lam[j])
+    return c
+
+
+def _recurrence(spec: EquationSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monic three-term recurrence x y_k = y_(k+1) + b_k y_k + g_k y_(k-1)
+    of the eigenpolynomials, in closed form from p and q.
+
+    Returns b_0..b_(n-1) and g_1..g_(n-1).  With c(s) = q1 - p2 s, so that
+    lambda_m - lambda_j = (m - j) c(m + j + 1):
+
+        b_k = (p1 (k c(k+1) + (k+1) c(k)) - q0 q1) / (c(2k) c(2k+2))
+        g_k = k c(k) (p0 c(2k)^2 + k p1^2 c(k) + q0 (p2 q0 - p1 q1))
+              / (c(2k)^2 c(2k-1) c(2k+1))
+
+    c is tabulated once for s = 0 .. 2n and every factor is a slice of it.
+    A simple spectrum up to n keeps c(s) != 0 for 2 <= s <= 2n, so only b_0
+    (c(0), zero when q1 = 0) and g_1 (c(1), zero when q1 = p2) can be 0/0.
+    Those two come from the top coefficients y_k = x^k + a_k x^(k-1) +
+    e_k x^(k-2) + ... of y_1 and y_2 (_monic_column) instead.  The same
+    differences at every k (b_k = a_k - a_(k+1), g_k = e_k - e_(k+1) -
+    b_k a_k) would cancel at high degree, where a_k and e_k grow like k^2
+    and k^4.
+    """
+    p2, p1, p0, q1, q0 = spec.p2, spec.p1, spec.p0, spec.q1, spec.q0
+    s = np.arange(2 * n + 1, dtype=float)
+    c = q1 - p2 * s
+    even, odd = c[::2], c[1::2]  # c(2j), j = 0..n, and c(2j+1), j = 0..n-1
+    k, k1, m, cm, c2m = s[:n], s[1 : n + 1], s[1:n], c[1:n], even[1:n] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = (p1 * (k * c[1 : n + 1] + k1 * c[:n]) - q0 * q1) / (even[:n] * even[1:])
+        g = m * cm * (p0 * c2m + m * p1 * p1 * cm + q0 * (p2 * q0 - p1 * q1))
+        g /= c2m * odd[:-1] * odd[1:]
+    bands = _bands(spec, min(n, 2))
+    a1, _ = _monic_column(bands, 1)
+    b[0] = -a1
+    if n >= 2:
+        e2, a2, _ = _monic_column(bands, 2)
+        g[0] = -e2 - (a1 - a2) * a1
+    return b, g
+
+
+def _orthonormal_recurrence(spec: EquationSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """b_0..b_(n-1) and s_k = sqrt(g_k), k = 1..n-1, of _recurrence, for
+    a spec whose spectrum is simple and increasing up to n; each caller
+    raises check_simple_spectrum's error first.
+
+    By Favard's theorem, g_k > 0 for every k gives a positive weight that
+    makes the eigenpolynomials orthogonal, and with it real, simple zeros.
+    The converse does not hold: a spec with some g_k <= 0 may still have n
+    real zeros, but nothing certifies them, so it raises RootCountMismatch.
+    """
+    b, g = _recurrence(spec, n)
+    bad = np.flatnonzero(~(g > 0.0))
+    if bad.size:
+        k = int(bad[0]) + 1
+        raise RootCountMismatch(
+            n,
+            None,
+            f"recurrence coefficient g_{k} = {g[k - 1]:.6g} <= 0, so no "
+            "positive weight exists and the zeros are not certified real "
+            "and inside the domain",
+        )
+    return b, np.sqrt(g)
+
+
+def _newton_correction(b: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """delta = P_n(x) / P_n'(x) at every point of x, for the orthonormal
+    recurrence s_k P_(k+1) = (x - b_k) P_k - s_(k-1) P_(k-1), P_0 = 1,
+    P_(-1) = 0, with n = len(b) and s = sqrt(g) (see _recurrence).  This is
+    the package's one evaluation of the eigenpolynomial at given points.
+
+    (P_k, P_k') and (P_(k-1), P_(k-1)') are two (2, len(x)) arrays, updated
+    by one set of array operations per k.  Every 8th k, each point's two
+    pairs are multiplied by 2^(-e), with e the binary exponent (np.frexp) of
+    that point's largest entry.  A power of two scales exactly, so delta is
+    the ratio the unscaled recurrence would give, to the last bit, wherever
+    that one stays inside double range (Hermite at n = 1000 reaches about
+    e^1000).  Between rescales one step multiplies P by at most
+    (|x - b_k| + s_(k-1)) / s_k, and P' by that plus its product-rule term
+    P_k / s_k.  Rescaling the spec (x, b and s by sigma, P' by 1/sigma)
+    leaves these ratios unchanged, so any scale of spec is safe; eight
+    steps overflow only if a ratio passes 2^127.
+    """
+    bs = b.tolist()
+    # the last step skips the normalisation: P_n / P_n' does not need it
+    up = s.tolist() + [1.0]
+    down = [0.0] + s.tolist()
+    cur, prev = np.zeros((2, 2, len(x)))
+    cur[0] = 1.0
+    for k, bk in enumerate(bs):
+        nxt = (x - bk) * cur
+        nxt -= down[k] * prev
+        nxt[1] += cur[0]
+        nxt /= up[k]
+        prev, cur = cur, nxt
+        if k % 8 == 7:
+            e = np.frexp(np.maximum(np.abs(cur), np.abs(prev)).max(axis=0))[1]
+            cur = np.ldexp(cur, -e)
+            prev = np.ldexp(prev, -e)
+    return cur[0] / cur[1]

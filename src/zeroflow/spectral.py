@@ -20,6 +20,12 @@ recurrence, whose coefficients follow from p and q in closed form (Golub &
 Welsch 1969), polished by one Newton step on that recurrence, which it
 evaluates for all zeros at once and rescales by exact powers of two
 (_newton_correction).  Both paths run in double precision.
+
+The column loop and the recurrence kernels (_monic_column, _recurrence,
+_orthonormal_recurrence with its g_k > 0 refusal, _newton_correction) live in
+operator_core, beside _bands and _spectrum, because
+equilibrium.verify_theorem1 evaluates y_n on the same recurrence; this
+module imports them from there.
 """
 
 from __future__ import annotations
@@ -29,12 +35,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .equilibrium import Configuration, _Vector, monic_from_roots
+from .equilibrium import Configuration, _Vector
 from .errors import PropagatorOverflow, RootCountMismatch, ZeroflowError
 from .operator_core import (
     Domain,
     EquationSpec,
     _bands,
+    _monic_column,
+    _newton_correction,
+    _orthonormal_recurrence,
+    _recurrence,  # unused here; tests reach the kernels through spectral
     _spectrum,
     check_simple_spectrum,
 )
@@ -75,7 +85,11 @@ class PolynomialCoefficients(_Vector):
 
     @classmethod
     def from_roots(cls, roots: Iterable[float]) -> "PolynomialCoefficients":
-        return cls(monic_from_roots(roots))
+        """The monic polynomial prod_k (x - x_k)."""
+        c = np.array([1.0])
+        for r in roots:
+            c = np.concatenate(([0.0], c)) - float(r) * np.concatenate((c, [0.0]))
+        return cls(c)
 
     coeffs = property(_Vector._tuple)
 
@@ -88,25 +102,6 @@ def _require_simple(spec: EquationSpec, n: int) -> None:
     defect = check_simple_spectrum(spec, n)
     if defect is not None:
         raise defect
-
-
-def _monic_column(bands: tuple[list[float], ...], k: int) -> list[float]:
-    """Monic degree-k eigenpolynomial (ascending) from the bands of the
-    operator matrix up to any n >= k (_bands): c_k = 1 and, upward,
-
-        c_j = (M[j][j+1] c_(j+1) + M[j][j+2] c_(j+2)) / (lambda_k - lambda_j)
-
-    Row j reads rows below it only, so the column does not depend on n.
-    Python floats: at these degrees numpy's per-call cost would dominate.
-    """
-    lam, band1, band2 = bands
-    c = [0.0] * k + [1.0]
-    for j in range(k - 1, -1, -1):
-        row = band1[j] * c[j + 1]
-        if j + 2 <= k:
-            row += band2[j] * c[j + 2]
-        c[j] = row / (lam[k] - lam[j])
-    return c
 
 
 def eigenbasis_matrix(spec: EquationSpec, n: int) -> np.ndarray:
@@ -258,113 +253,21 @@ def poly_roots(coeffs: PolynomialCoefficients, domain: Domain) -> Configuration:
     return Configuration(roots)
 
 
-def _recurrence(spec: EquationSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monic three-term recurrence x y_k = y_(k+1) + b_k y_k + g_k y_(k-1)
-    of the eigenpolynomials, in closed form from p and q.
-
-    Returns b_0..b_(n-1) and g_1..g_(n-1).  With c(s) = q1 - p2 s, so that
-    lambda_m - lambda_j = (m - j) c(m + j + 1):
-
-        b_k = (p1 (k c(k+1) + (k+1) c(k)) - q0 q1) / (c(2k) c(2k+2))
-        g_k = k c(k) (p0 c(2k)^2 + k p1^2 c(k) + q0 (p2 q0 - p1 q1))
-              / (c(2k)^2 c(2k-1) c(2k+1))
-
-    A simple spectrum up to n keeps c(s) != 0 for 2 <= s <= 2n, so only b_0
-    (c(0), zero when q1 = 0) and g_1 (c(1), zero when q1 = p2) can be 0/0.
-    Those two come from the top coefficients y_k = x^k + a_k x^(k-1) +
-    e_k x^(k-2) + ... of y_1 and y_2 (_monic_column) instead.  The same
-    differences at every k (b_k = a_k - a_(k+1), g_k = e_k - e_(k+1) -
-    b_k a_k) would cancel at high degree, where a_k and e_k grow like k^2
-    and k^4.
-    """
-    p2, p1, p0, q1, q0 = spec.p2, spec.p1, spec.p0, spec.q1, spec.q0
-
-    def c(s):
-        return q1 - p2 * s
-
-    k = np.arange(n, dtype=float)
-    m = k[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = (p1 * (k * c(k + 1) + (k + 1) * c(k)) - q0 * q1) / (c(2 * k) * c(2 * k + 2))
-        g = (
-            m * c(m) * (p0 * c(2 * m) ** 2 + m * p1 * p1 * c(m) + q0 * (p2 * q0 - p1 * q1))
-            / (c(2 * m) ** 2 * c(2 * m - 1) * c(2 * m + 1))
-        )
-    bands = _bands(spec, min(n, 2))
-    a1, _ = _monic_column(bands, 1)
-    b[0] = -a1
-    if n >= 2:
-        e2, a2, _ = _monic_column(bands, 2)
-        g[0] = -e2 - (a1 - a2) * a1
-    return b, g
-
-
-def _newton_correction(b: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """delta = P_n(x) / P_n'(x) at every point of x, for the orthonormal
-    recurrence s_k P_(k+1) = (x - b_k) P_k - s_(k-1) P_(k-1), P_0 = 1,
-    P_(-1) = 0, with n = len(b) and s = sqrt(g) (see _recurrence).
-
-    (P_k, P_k') and (P_(k-1), P_(k-1)') are two (2, len(x)) arrays, updated
-    by one set of array operations per k.  Every 8th k, each point's two
-    pairs are multiplied by 2^(-e), with e the binary exponent (np.frexp) of
-    that point's largest entry.  A power of two scales exactly, so delta is
-    the ratio the unscaled recurrence would give, to the last bit, wherever
-    that one stays inside double range (Hermite at n = 1000 reaches about
-    e^1000).  Between rescales one step multiplies P by at most
-    (|x - b_k| + s_(k-1)) / s_k, and P' by that plus its product-rule term
-    P_k / s_k.  Rescaling the spec (x, b and s by sigma, P' by 1/sigma)
-    leaves these ratios unchanged, so any scale of spec is safe; eight
-    steps overflow only if a ratio passes 2^127.
-    """
-    n = len(b)
-    bs = b.tolist()
-    # the last step skips the normalisation: P_n / P_n' does not need it
-    up = s.tolist() + [1.0]
-    down = [0.0] + s.tolist()
-    cur = np.zeros((2, len(x)))
-    cur[0] = 1.0
-    prev = np.zeros_like(cur)
-    for k in range(n):
-        nxt = (x - bs[k]) * cur
-        nxt -= down[k] * prev
-        nxt[1] += cur[0]
-        nxt /= up[k]
-        prev, cur = cur, nxt
-        if k % 8 == 7:
-            e = np.frexp(np.maximum(np.abs(cur), np.abs(prev)).max(axis=0))[1]
-            cur = np.ldexp(cur, -e)
-            prev = np.ldexp(prev, -e)
-    return cur[0] / cur[1]
-
-
 def _recurrence_zeros(spec: EquationSpec, n: int) -> Configuration:
     """Zeros as the eigenvalues of the symmetric tridiagonal Jacobi matrix
     (Golub & Welsch 1969), polished by one Newton step.
 
-    By Favard's theorem, g_k > 0 for every k gives a positive weight that
-    makes the eigenpolynomials orthogonal, and with it real, simple zeros.
-    The converse does not hold: a spec with some g_k <= 0 may still have n
-    real zeros, but nothing certifies them, so it is refused before any
-    eigen-solve.  The Newton step is x - _newton_correction(b, s, x): the
+    Raises DegenerateSpectrumError unless the spectrum is simple and
+    increasing up to n, then _orthonormal_recurrence's RootCountMismatch
+    for some g_k <= 0, both before any eigen-solve.  eigvalsh reads the
+    lower triangle only, so the matrix holds just b on its diagonal and s
+    below it.  The Newton step is x - _newton_correction(b, s, x): the
     orthonormal recurrence gives P_n / P_n' at every eigenvalue at once,
     rescaled by exact powers of two on the way.
-    Raises DegenerateSpectrumError unless the spectrum is simple and
-    increasing up to n.
     """
     _require_simple(spec, n)
-    b, g = _recurrence(spec, n)
-    bad = np.flatnonzero(~(g > 0.0))
-    if bad.size:
-        k = int(bad[0]) + 1
-        raise RootCountMismatch(
-            n,
-            None,
-            f"recurrence coefficient g_{k} = {g[k - 1]:.6g} <= 0, so no "
-            "positive weight exists and the zeros are not certified real "
-            "and inside the domain",
-        )
-    s = np.sqrt(g)
-    x = np.linalg.eigvalsh(np.diag(b) + np.diag(s, 1) + np.diag(s, -1))
+    b, s = _orthonormal_recurrence(spec, n)
+    x = np.linalg.eigvalsh(np.diag(b) + np.diag(s, -1), UPLO="L")
     x = x - _newton_correction(b, s, x)
     if np.any(np.diff(x) <= 0.0):
         raise RootCountMismatch(n, len(np.unique(x)), "roots merged")

@@ -359,6 +359,22 @@ class TestVerifyCommand:
         )
         assert code == 0
 
+    def test_laguerre_200_oracle_zeros_finite_defect_quiet(self, capsys, tmp_path):
+        pts = oracle_zeros(make_classical(ClassicalFamily.laguerre(0.0)), 200).points
+        f = tmp_path / "pts.txt"
+        f.write_text("".join(f"{x!r}\n" for x in pts))
+        code, out, err = run(capsys, "verify", "--family", "laguerre", str(f))
+        assert code == 0 and err == ""
+        defect = float(out.split("operator_defect :")[1].split()[0])
+        assert math.isfinite(defect) and defect <= 1e-13
+
+    def test_spec_the_oracle_refuses_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "pts.txt"
+        f.write_text("-0.5\n0.5\n")
+        code, out, err = run(capsys, "verify", "--p", "1,0,-1", "--q", "0,-3", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error: degenerate spectrum: lambda_0=0 and lambda_1=-1")
+
 
 class TestRateCommand:
     def test_laguerre3(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ import pytest
 from zeroflow import (
     ClassicalFamily,
     Configuration,
+    DegenerateSpectrumError,
     Domain,
     EquationSpec,
     MaxIterExceeded,
     PointOnBoundary,
+    RootCountMismatch,
     SingularJacobian,
     ZeroflowError,
     default_init,
@@ -374,9 +377,9 @@ class TestVerifyTheorem1:
     def test_defect_stays_finite_where_the_coefficient_norm_overflows(
         self, spec, n, bound
     ):
-        # unscaled, ||c|| overflows: Laguerre(0) at n = 100 read exactly 0
-        # (max|c| = 4.9e164) and Hermite at n = 200 NaN, with overflow
-        # warnings, which the suite turns into errors
+        # the monomial coefficients of prod (x - x_i) leave double range
+        # here (max|c| = 4.9e164 for Laguerre(0) at n = 100); the defect is
+        # read on the recurrence, rescaled by exact powers of two instead
         report = verify_theorem1(spec, oracle_zeros(spec, n), tol=1e-9)
         assert 0.0 < report.operator_defect < bound
 
@@ -390,6 +393,55 @@ class TestVerifyTheorem1:
             bad = verify_theorem1(LEG, Configuration(tuple(np.sort(pts))), tol=1e-9)
             assert not bad.is_equilibrium
             assert bad.operator_defect > 1e-6
+
+    @pytest.mark.parametrize(
+        "spec,n",
+        [(LEG, 100), (LEG, 1000), (LAG, 100), (LAG, 200), (HER, 200)],
+        ids=["leg100", "leg1000", "lag100", "lag200", "her200"],
+    )
+    def test_defect_vanishes_at_the_oracle_zeros_at_any_degree(self, spec, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_theorem1(spec, oracle_zeros(spec, n), tol=1e-9)
+        assert report.operator_defect <= 1e-13
+
+    @pytest.mark.parametrize("fraction", [1e-3, 1e-9])
+    @pytest.mark.parametrize(
+        "spec,n", [(LEG, 100), (LAG, 100), (HER, 200)], ids=["leg100", "lag100", "her200"]
+    )
+    def test_defect_reads_the_move_of_one_zero(self, spec, n, fraction):
+        x = oracle_zeros(spec, n).as_array()
+        move = fraction * np.min(np.diff(x))
+        scale = max(1.0, np.max(np.abs(x)))
+        for i in (0, n // 2, n - 1):
+            moved = x.copy()
+            moved[i] += move
+            report = verify_theorem1(spec, Configuration(moved), tol=1e-9)
+            assert report.operator_defect == pytest.approx(move / scale, rel=0.01), i
+
+    def test_zero_derivative_reads_inf_without_warning(self):
+        # y_2 = x^2 - 1/3 has y_2' = 0 at x = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_theorem1(LEG, Configuration((0.0, 0.5)), tol=1e-9)
+        assert report.operator_defect == math.inf
+
+    def test_degenerate_spectrum_refused(self):
+        # lambda_m = m^2 - 2m, so lambda_1 < lambda_0
+        spec = EquationSpec(-1.0, 0.0, 1.0, -3.0, 0.0, Domain(-1.0, 1.0))
+        with pytest.raises(DegenerateSpectrumError, match="lambda_0=0 and lambda_1=-1"):
+            verify_theorem1(spec, Configuration((-0.5, 0.5)), tol=1e-9)
+
+    def test_recurrence_without_positive_weight_refused_as_by_the_oracle(self):
+        # Jacobi(-1.5, 0.5) as a plain spec: p = 1 - x^2, q = -x - 2, g_1 = -1.5
+        spec = EquationSpec(-1.0, 0.0, 1.0, -1.0, -2.0, Domain(-1.0, 1.0))
+        with pytest.raises(RootCountMismatch) as oracle:
+            oracle_zeros(spec, 13)
+        assert "g_1 = -1.5 <= 0" in str(oracle.value)
+        start = Configuration(np.linspace(-0.9, 0.9, 13))
+        with pytest.raises(RootCountMismatch) as verify:
+            verify_theorem1(spec, start, tol=1e-9)
+        assert str(verify.value) == str(oracle.value)
 
 
 class TestStieltjesEnergy:

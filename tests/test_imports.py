@@ -100,3 +100,50 @@ def test_every_third_party_test_import_is_declared():
                 if top not in known:
                     undeclared.add((path.relative_to(ROOT).as_posix(), top))
     assert sorted(undeclared) == []
+
+
+# each module may import only modules of a lower tier; flow and spectral
+# share a tier and do not import each other, and cli takes __version__
+# from the package
+TIERS = [
+    ("errors",),
+    ("operator_core",),
+    ("equilibrium",),
+    ("flow", "spectral"),
+    ("__init__",),
+    ("cli",),
+]
+TIER = {module: rank for rank, modules in enumerate(TIERS) for module in modules}
+
+
+def zeroflow_imports(node, nested=False):
+    """(zeroflow module, inside a function) for every import below node,
+    relative or absolute.  A name that is not a module, such as
+    __version__, comes from the package itself, __init__."""
+    for child in ast.iter_child_nodes(node):
+        paths = []
+        if isinstance(child, ast.Import):
+            paths = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            base = ".".join(filter(None, ["zeroflow" if child.level else "", child.module]))
+            paths = [base] if base != "zeroflow" else [f"zeroflow.{a.name}" for a in child.names]
+        for path in paths:
+            top, _, module = path.partition(".")
+            if top == "zeroflow":
+                yield (module if module in TIER else "__init__"), nested
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from zeroflow_imports(child, nested or inner)
+
+
+def test_package_imports_point_downward_and_sit_at_module_level():
+    files = sorted((ROOT / "src" / "zeroflow").glob("*.py"))
+    assert sorted(path.stem for path in files) == sorted(TIER)
+    upward, in_function = [], []
+    for path in files:
+        for target, nested in zeroflow_imports(ast.parse(path.read_text(), str(path))):
+            if not TIER[path.stem] > TIER[target]:
+                upward.append((path.stem, target))
+            if nested:
+                in_function.append((path.stem, target))
+    assert upward == []
+    assert in_function == []

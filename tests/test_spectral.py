@@ -459,6 +459,43 @@ class TestRecurrenceStart:
         assert np.all(np.abs(got - want) <= tol), (name, got, want)
 
 
+def closed_form_recurrence(spec, n):
+    """b_1..b_(n-1) and g_2..g_(n-1) from the formulas in _recurrence's
+    docstring, with each factor c(s) computed on its own."""
+    p2, p1, p0, q1, q0 = spec.p2, spec.p1, spec.p0, spec.q1, spec.q0
+
+    def c(s):
+        return q1 - p2 * s
+
+    k = np.arange(1.0, n)
+    m = k[1:]
+    b = (p1 * (k * c(k + 1) + (k + 1) * c(k)) - q0 * q1) / (c(2 * k) * c(2 * k + 2))
+    g = (
+        m * c(m) * (p0 * c(2 * m) ** 2 + m * p1 * p1 * c(m) + q0 * (p2 * q0 - p1 * q1))
+        / (c(2 * m) ** 2 * c(2 * m - 1) * c(2 * m + 1))
+    )
+    return b, g
+
+
+@pytest.mark.parametrize("n", [2, 3, 13, 40])
+@pytest.mark.parametrize(
+    "name,spec",
+    CLASSICAL_SPECS
+    + [
+        ("jacobi on (2, 3)", jacobi_on(2.0, 3.0, 0.3, 1.2)),
+        ("hermite at 10", hermite_at(10.0, 1.5)),
+        ("not certified", NOT_CERTIFIED),
+    ],
+)
+def test_tabulated_recurrence_equals_the_closed_forms(name, spec, n):
+    # _recurrence reads every c(s) from one table; same operations in the
+    # same order give the same bytes
+    b, g = _recurrence(spec, n)
+    want_b, want_g = closed_form_recurrence(spec, n)
+    assert b[1:].tobytes() == want_b.tobytes(), name
+    assert g[1:].tobytes() == want_g.tobytes(), name
+
+
 class TestNewtonCorrection:
     """delta = P_n(x) / P_n'(x), the polish of the recurrence oracle."""
 
