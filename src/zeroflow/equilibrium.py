@@ -19,11 +19,17 @@ The residual and Jacobian formulas are written once, row by row
 `residual_jacobian`, the flow's right-hand side and each Newton iteration
 build their rows from them.  Newton builds only the right half of the rows
 when the problem is its own mirror image (see `newton_solve`).
+
+The pair energy holds the charges apart, so Newton's steps act on the gaps
+between them: a step that changes some gap by more than a quarter of itself
+moves the log-gaps instead of the points (`_gap_step`), and every iterate
+is ordered and inside the domain by construction.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -50,6 +56,13 @@ __all__ = [
     "stieltjes_energy",
     "stieltjes_gradient",
 ]
+
+_EPS = float(np.finfo(float).eps)
+# a full Newton step that changes no gap by more than this fraction of
+# itself is taken as it is; otherwise a gap grows at most e^_GAP_GROWTH
+# times in one step (see _gap_step)
+_GAP_CHANGE = 0.25
+_GAP_GROWTH = 4.0
 
 
 class _Vector:
@@ -194,7 +207,8 @@ def residual_jacobian(spec: EquationSpec, config: Configuration) -> np.ndarray:
 
 def _is_mirror(spec: EquationSpec, x: np.ndarray) -> bool:
     """Whether the problem at x is its own mirror image x -> -x: p even,
-    q odd, the domain symmetric about 0, and x == -x[::-1] exactly.
+    q odd, the domain symmetric about 0, n >= 2 and
+    |x + x[::-1]| <= 4 eps max|x|, within rounding of a mirror image.
 
     p constant with q = 0 is left out.  There R is unchanged by a common
     shift of the points, so J has the all-ones null vector everywhere and
@@ -206,8 +220,46 @@ def _is_mirror(spec: EquationSpec, x: np.ndarray) -> bool:
         and (spec.p2 != 0.0 or spec.q1 != 0.0)
         and spec.domain.lower == -spec.domain.upper
         and x.size >= 2
-        and np.array_equal(x, -x[::-1])
+        and np.max(np.abs(x + x[::-1])) <= 4.0 * _EPS * np.max(np.abs(x))
     )
+
+
+def _gap_step(x: np.ndarray, delta: np.ndarray, room: Domain) -> np.ndarray | None:
+    """The Newton iterate after x along delta, for points ordered inside
+    room; None when it is not finite, ordered and inside room.
+
+    g are the gaps between consecutive entries of (room's finite lower end,
+    x, room's finite upper end) and u = dg/g their relative change under
+    delta.  With max|u| <= _GAP_CHANGE the step is x + delta.  Otherwise
+    each gap becomes g e^min(u, _GAP_GROWTH), which keeps the points
+    ordered however long delta is.  The new points are x plus the running
+    sum of the gap changes g expm1(.), which stays accurate for small u and
+    cancels nothing for large u: anchored at a finite lower end, else at a
+    finite upper end, else with the mean of the points moved by the mean
+    of delta.  On a bounded room the gaps are then scaled to sum to
+    upper - lower again.  So None comes only from a delta so long that
+    the gaps overflow or underflow."""
+    lower, upper = room.lower, room.upper
+    below, above = math.isfinite(lower), math.isfinite(upper)
+    e = np.concatenate(([lower] * below, x, [upper] * above))
+    d = np.concatenate(([0.0] * below, delta, [0.0] * above))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.diff(e)
+        u = np.diff(d) / g
+        if np.max(np.abs(u), initial=0.0) <= _GAP_CHANGE:
+            trial = x + delta
+        else:
+            c = np.concatenate(([0.0], np.cumsum(g * np.expm1(np.minimum(u, _GAP_GROWTH)))))
+            trial = x + c[below : below + x.size]
+            if below and above:  # upper - lower + c[-1] is the sum of the new gaps
+                trial -= c[-1] / (upper - lower + c[-1]) * (trial - lower)
+            elif above:
+                trial -= c[-1]
+            elif not below:
+                trial += np.mean(delta) - np.mean(c)
+        if np.all(np.diff(trial) > 0.0) and room.contains(trial):
+            return trial
+    return None
 
 
 def newton_solve(
@@ -216,26 +268,38 @@ def newton_solve(
     tol: float,
     max_iter: int = 100,
 ) -> Configuration:
-    """Damped Newton iteration on R(x) = 0.
+    """Newton iteration on R(x) = 0, with steps that act on the gaps.
 
-    Full Newton steps are halved (up to 40 times) until the trial iterate is
-    strictly increasing and inside the domain; no other globalization.
-    At most max_iter steps are taken; with max_iter <= 0 only the start is
-    checked against tol.  Raises MaxIterExceeded (carrying the last iterate
-    and its residual norm) or SingularJacobian.
+    Each step starts from the full Newton direction delta = -J^(-1) R.  It
+    is taken as x + delta when no gap between neighbouring points, or
+    between a point and a finite end of the domain, changes by more than a
+    quarter of itself.  Otherwise each gap g is multiplied by e^u, with u
+    its relative change under delta: the first-order move of the log-gaps,
+    which keeps the points ordered and inside the domain at any length of
+    delta.  A gap grows at most e^4 times in one step, so that a clumped
+    start spreads out over a few steps instead of overflowing.  The new
+    gaps are anchored at the finite lower end, else at the finite upper
+    end, else the mean of the points moves by the mean of delta; on a
+    bounded domain they are scaled to fill it (see `_gap_step`).  No step
+    is halved.  At most max_iter steps are taken; with max_iter <= 0
+    only the start is checked against tol.  Raises MaxIterExceeded
+    (carrying the last iterate and its residual norm, and "step damping
+    exhausted" when a step overflows) or SingularJacobian.
 
     Each iteration builds the rows of 1/(x_i-x_k) once: their row sums give
     the residual, and only when the stop test fails are they squared in
     place into the Jacobian.  When the problem is its own mirror image
     (p even, q odd, the domain symmetric about 0, n >= 2 and the start
-    exactly equal to minus its reverse), R_(n-1-i) = -R_i and the step is
-    antisymmetric too, so only the right h = n//2 rows are built and the
-    h x h system J[:, n-h:] - J[:, h-1::-1] is solved; the step is mirrored
-    back, with the middle point of odd n held at exactly 0.  Rounding is
-    symmetric, so every iterate and the answer are exact mirror images.
-    The stop test then reads the right half's residuals.  Any other input
-    solves the full n x n system, with Legendre's equispaced start among
-    them: -1 + 2k/(n+1) rounds differently on the two sides of 0 for most n.
+    within 4 eps max|x| of minus its reverse), the start is made an exact
+    mirror image, R_(n-1-i) = -R_i and the step is antisymmetric too.  So
+    only the right h = n//2 rows are built and the h x h system
+    J[:, n-h:] - J[:, h-1::-1] is solved; the step moves the right half
+    inside (0, upper), anchored at 0, and is mirrored back, with the middle
+    point of odd n held at exactly 0.  Rounding is symmetric, so every
+    iterate and the answer are exact mirror images.  The stop test then
+    reads the right half's residuals.  Legendre's equispaced start,
+    -1 + 2k/(n+1), is such a start: for most n it rounds differently on
+    the two sides of 0, but well within 4 eps max|x|.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -244,6 +308,9 @@ def newton_solve(
     n = x.size
     h = n // 2 if _is_mirror(spec, x) else n
     lo = n - h
+    if lo:  # exactly minus its reverse, in the same order
+        x = 0.5 * (x - x[::-1])
+    room = Domain(0.0, spec.domain.upper) if lo else spec.domain
 
     for iteration in itertools.count():
         inv, s = _pair_rows(x, lo)
@@ -264,17 +331,11 @@ def newton_solve(
             raise SingularJacobian(
                 f"singular Jacobian at residual norm {rnorm:.3e}"
             ) from exc
-        if lo:
-            delta = np.concatenate((-delta[::-1], np.zeros(lo - h), delta))
-        step = 1.0
-        for _ in range(40):
-            trial = x + step * delta
-            if np.all(np.diff(trial) > 0.0) and spec.domain.contains(trial):
-                break
-            step *= 0.5
-        else:
+        right = _gap_step(x[lo:], delta, room)
+        if right is None:
             raise MaxIterExceeded(Configuration(x), rnorm, "step damping exhausted")
-        x = trial
+        # x[h:lo] is the middle point 0 of odd n
+        x = np.concatenate((-right[::-1], x[h:lo], right)) if lo else right
 
 
 def verify_theorem1(

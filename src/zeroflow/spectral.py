@@ -200,8 +200,10 @@ def poly_roots(coeffs: PolynomialCoefficients, domain: Domain) -> Configuration:
     Sign changes are bracketed on a refining grid bounded by the Cauchy
     bound 1 + max|c_i / c_n| (tightened by Samuelson's inequality and
     clipped to the domain's finite endpoints, since the roots of interest
-    lie there); in each bracket, Newton steps safeguarded by bisection run
-    until p reaches its round-off floor (see _bracketed_newton).
+    lie there).  The grid starts at max(64, 8n) cells and doubles up to
+    _MAX_GRID = 2^22 cells, the last doubling clamped to it.  In each
+    bracket, Newton steps safeguarded by bisection run until p reaches its
+    round-off floor (see _bracketed_newton).
 
     Raises RootCountMismatch when the number of isolated real roots differs
     from the degree, which signals complex roots or numerical breakdown.
@@ -242,7 +244,7 @@ def poly_roots(coeffs: PolynomialCoefficients, domain: Domain) -> Configuration:
             break
         if m >= _MAX_GRID or count > n:
             raise RootCountMismatch(n, int(count), f"grid of {m} cells")
-        m *= 2
+        m = min(2 * m, _MAX_GRID)
 
     cs = c.tolist()
     brackets = zip(xs[flip].tolist(), xs[flip + 1].tolist(), sgn[flip].tolist())

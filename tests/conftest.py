@@ -44,6 +44,23 @@ def hermite_at(mu, sigma):
     return EquationSpec(0.0, 0.0, sigma * sigma, 1.0, -mu, Domain(-math.inf, math.inf))
 
 
+# twelve affine images of the classical families on all four domain shapes
+MAPPED_SPECS = [
+    ("jacobi(0.3,1.2) on (0.25,3.7)", jacobi_on(0.25, 3.7, 0.3, 1.2)),
+    ("jacobi(-0.5,0.5) on (-3.3,0.7)", jacobi_on(-3.3, 0.7, -0.5, 0.5)),
+    ("jacobi(2,0) on (0.1,0.7)", jacobi_on(0.1, 0.7, 2.0, 0.0)),
+    ("laguerre(0.5) on (0.37,inf)", laguerre_right_of(0.37, 0.5)),
+    ("laguerre(1.5) on (-2.25,inf)", laguerre_right_of(-2.25, 1.5)),
+    ("laguerre(0) on (7.3,inf)", laguerre_right_of(7.3, 0.0)),
+    ("laguerre(0.7) on (-inf,0.37)", laguerre_left_of(0.37, 0.7)),
+    ("laguerre(0) on (-inf,-1.6)", laguerre_left_of(-1.6, 0.0)),
+    ("laguerre(2.5) on (-inf,4.1)", laguerre_left_of(4.1, 2.5)),
+    ("hermite at 0.3, scale 1.5", hermite_at(0.3, 1.5)),
+    ("hermite at -2.2, scale 0.7", hermite_at(-2.2, 0.7)),
+    ("hermite at 5.5, scale 0.25", hermite_at(5.5, 0.25)),
+]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

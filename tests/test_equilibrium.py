@@ -27,7 +27,7 @@ from zeroflow import (
     verify_theorem1,
 )
 from zeroflow import equilibrium
-from conftest import CLASSICAL_SPECS, random_config
+from conftest import CLASSICAL_SPECS, MAPPED_SPECS, random_config
 
 HER = make_classical(ClassicalFamily.hermite())
 LEG = make_classical(ClassicalFamily.legendre())
@@ -297,6 +297,17 @@ class TestNewtonMirror:
         newton_solve(spec, start(spec, n), tol=1e-10)
         assert solved and {a.shape for a, _ in solved} == {(n, n)}
 
+    @pytest.mark.parametrize("n", [250, 251])
+    def test_start_within_rounding_of_a_mirror_takes_the_half_system(self, n, solved):
+        # -1 + 2k/(n+1) rounds differently on the two sides of 0
+        start = default_init(LEG, n).as_array()
+        assert not np.array_equal(start, -start[::-1])
+        x = newton_solve(LEG, Configuration(start), tol=2e-13 * n).as_array()
+        assert np.array_equal(x, -x[::-1])
+        ref = oracle_zeros(LEG, n).as_array()
+        assert np.all(np.abs(x - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+        assert solved and {a.shape for a, _ in solved} == {(n // 2, n // 2)}
+
     def test_single_point_at_the_origin_returns_at_once(self, solved):
         start = Configuration((0.0,))
         assert newton_solve(HER, start, tol=1e-12) == start
@@ -311,6 +322,55 @@ class TestNewtonMirror:
             newton_solve(spec, Configuration((-0.5, 0.5)), tol=1e-12)
         assert type(exc_info.value) is SingularJacobian
         assert [a.shape for a, _ in solved] == [(2, 2)]
+
+
+class TestGapStep:
+    # a Newton step that changes some gap by more than a quarter of itself
+    # moves the log-gaps, so every iterate is ordered and inside the domain
+    @pytest.mark.parametrize("name,spec", CLASSICAL_SPECS + MAPPED_SPECS)
+    def test_every_iterate_is_ordered_and_inside(self, name, spec, rng, monkeypatch):
+        iterates = []
+        pair_rows = equilibrium._pair_rows
+
+        def spy(x, lo=0):
+            iterates.append(x.copy())
+            return pair_rows(x, lo)
+
+        monkeypatch.setattr(equilibrium, "_pair_rows", spy)
+        for n in rng.integers(2, 61, size=3).tolist():
+            for start in (default_init(spec, n), default_init(spec, n, "seeded", seed=n)):
+                newton_solve(spec, start, tol=1e-10)
+        assert iterates
+        for x in iterates:
+            assert np.all(np.diff(x) > 0.0) and spec.domain.contains(x), name
+
+    @pytest.mark.parametrize(
+        "spec,iterations",
+        [(make_classical(ClassicalFamily.laguerre(0.5)), 7), (JAC, 7)],
+        ids=["laguerre(0.5)", "jacobi(0.3,1.2)"],
+    )
+    def test_fewer_iterations_than_halving(self, spec, iterations, solved):
+        # halving the full step until the points were ordered took 9
+        # (Laguerre) and 8 (Jacobi) iterations from this start
+        newton_solve(spec, default_init(spec, 250), tol=1e-10)
+        assert len(solved) <= iterations
+
+    @pytest.mark.parametrize("spec", [LEG, LAG], ids=["legendre", "laguerre(0)"])
+    def test_clumped_start_spreads_out(self, spec):
+        # gaps of 1e-3 that Newton would grow about a thousandfold: e^u
+        # overflows unless a gap grows at most e^4 times in one step
+        n = 20
+        start = Configuration(spec.domain.lower + 1e-3 * np.arange(1.0, n + 1.0))
+        x = newton_solve(spec, start, tol=1e-10).as_array()
+        ref = oracle_zeros(spec, n).as_array()
+        assert np.all(np.abs(x - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    def test_start_whose_full_step_crosses(self):
+        start = Configuration((-5.0, -4.0, 1.0, 3.0, 4.0, 5.0))
+        delta = np.linalg.solve(residual_jacobian(HER, start), -residual(HER, start))
+        assert not np.all(np.diff(start.as_array() + delta) > 0.0)
+        x = newton_solve(HER, start, tol=1e-12).as_array()
+        np.testing.assert_allclose(x, oracle_zeros(HER, 6).as_array(), rtol=0, atol=1e-13)
 
 
 class TestFormulasStatedOnce:

@@ -225,6 +225,15 @@ class TestPolyRoots:
         assert cfg.points[1] == 0.0
         assert len(brackets) == 2
 
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_grid_stops_at_its_cap(self, n):
+        # p = 1 - x^2, q = -x - 2 has g_1 = -1.5: the n <= 12 oracle path
+        # never counts n roots, and its grid of 8n cells, doubled, would
+        # pass 2^22 by up to 1.5 times unless the last doubling is clamped
+        spec = EquationSpec(-1.0, 0.0, 1.0, -1.0, -2.0, Domain(-1.0, 1.0))
+        with pytest.raises(RootCountMismatch, match=r"\(grid of 4194304 cells\)"):
+            oracle_zeros(spec, n)
+
     @pytest.mark.parametrize("name,spec", HEAT_SPECS)
     @pytest.mark.parametrize("n", (4, 8, 12))
     @pytest.mark.parametrize("lam_t", (1.0, 10.0))
