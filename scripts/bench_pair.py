@@ -56,6 +56,18 @@ def _export(ref: str, into: str) -> None:
     subprocess.run(["tar", "-x", "-C", into], input=archive.stdout, check=True)
 
 
+def _trees(tmp: str, parent: str, change: str | None) -> dict:
+    """The tree of each side: ``parent``, and ``change`` when given,
+    exported under ``tmp``; the working tree for a change not given."""
+    trees = {"change": ROOT}
+    for side, rev in (("parent", parent), ("change", change)):
+        if rev:
+            trees[side] = os.path.join(tmp, side)
+            os.mkdir(trees[side])
+            _export(rev, trees[side])
+    return trees
+
+
 def _run(tree: str, args, seed: int) -> dict:
     """One benchmark run in ``tree``: its result line and saved details."""
     cmd = [sys.executable, "bench/run.py", "--workload", args.workload,
@@ -168,12 +180,7 @@ def main(argv=None) -> int:
 
     rows, environment = [], None
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        trees = {"change": ROOT}
-        for side, rev in (("parent", args.parent), ("change", args.change)):
-            if rev:
-                trees[side] = os.path.join(tmp, side)
-                os.mkdir(trees[side])
-                _export(rev, trees[side])
+        trees = _trees(tmp, args.parent, args.change)
         for k, seed in enumerate(args.seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for ran, side in zip(("first", "second"), order):

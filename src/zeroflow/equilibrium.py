@@ -14,8 +14,10 @@ and vanishes exactly when prod_k (x - x_k) is an eigenfunction of
 
 so equilibria of R coincide with stationary points of E.
 
-The residual and Jacobian formulas are written once, row by row
-(`_pair_rows`, `_residual_rows`, `_jacobian_rows`): `residual`,
+The residual is evaluated as R_i = p(x_i) S_i + l(x_i), with S_i the pair
+sum and l = p' - q folded into the one linear polynomial
+(2 p2 - q1) x + (p1 - q0).  The residual and Jacobian formulas are written
+once, row by row (`_pair_rows`, `_residual_rows`, `_jacobian_rows`): `residual`,
 `residual_jacobian`, the flow's right-hand side and each Newton iteration
 build their rows from them.  Newton builds only the right half of the rows
 when the problem is its own mirror image (see `newton_solve`).
@@ -157,14 +159,20 @@ def _pair_rows(x: np.ndarray, lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
     Each row is built and summed on its own, so its bytes do not depend on
     lo."""
     inv = x[lo:, None] - x
-    inv.flat[lo :: x.size + 1] = np.inf  # the entries (i, i)
+    inv.reshape(-1)[lo :: x.size + 1] = np.inf  # the entries (i, i), through a view
     np.reciprocal(inv, out=inv)
     return inv, 2.0 * inv.sum(axis=1)
 
 
 def _residual_rows(spec: EquationSpec, xr: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """R_i at the points xr, given their pair sums s."""
-    return spec.p(xr) * s + spec.dp(xr) - spec.q(xr)
+    """R_i = p(x_i) S_i + l(x_i) at the points xr, given their pair sums s.
+
+    l = p' - q is folded into one linear polynomial per call,
+    (2 p2 - q1) x + (p1 - q0), and a constant p multiplies S as the
+    scalar p0: four array passes for Hermite, seven for Jacobi."""
+    r = (spec.p(xr) if spec.p2 or spec.p1 else spec.p0) * s
+    r += (2.0 * spec.p2 - spec.q1) * xr + (spec.p1 - spec.q0)
+    return r
 
 
 def _jacobian_rows(
@@ -177,7 +185,7 @@ def _jacobian_rows(
     t = 2.0 * inv.sum(axis=1)
     px = spec.p(xr)
     inv *= (2.0 * px)[:, None]
-    inv.flat[lo :: x.size + 1] = spec.dp(xr) * s - px * t + spec.ddp() - spec.dq()
+    inv.reshape(-1)[lo :: x.size + 1] = spec.dp(xr) * s - px * t + spec.ddp() - spec.dq()
     return inv
 
 

@@ -32,9 +32,18 @@ The integrator is an explicit embedded Dormand-Prince 5(4) pair with two
 extra accept/reject guards per step: the particle ordering and domain
 membership must be preserved, and the minimum inter-particle gap may shrink
 by at most 50% in one step.  Steps violating a guard are rejected and
-halved.  Ordering is checked at every stage argument; the last stage
-argument is the step's 5th order end point, so that check also covers the
-end point.
+halved.  Ordering is checked at every stage argument by one strict
+comparison of neighbours, (y[1:] > y[:-1]).all(), plus finite end points:
+NaN fails every comparison and finite ends bound an increasing vector, so
+the argument is also finite.  The last stage argument is the step's 5th
+order end point, so that check also covers the end point.  The error norm
+is one dot product.  The right-hand side is the equilibrium module's
+residual kernel, with p' - q folded into one linear polynomial.
+
+A particle that an accepted step leaves on the last double inside a
+finite end, with its slope pointing out of the domain, ends the run in
+LEFT_DOMAIN: every step long enough to move it leaves the domain, and the
+shorter ones that pass the guard move neither it nor t by much.
 
 The linearization's eigenvalues fix the flow's stiffness near the zeros at
 rho = max_{k<n} |lambda_k - lambda_n| (lambda_n for every classical family).
@@ -174,6 +183,13 @@ _STABLE_H_RHO = 3.0
 _EPS = float(np.finfo(float).eps)
 
 
+def _increasing(y: np.ndarray) -> bool:
+    """Whether y is finite and strictly increasing, by one strict
+    comparison of neighbours and two finite end points: NaN fails every
+    comparison, and finite ends bound an increasing vector."""
+    return bool((y[1:] > y[:-1]).all()) and math.isfinite(y[0]) and math.isfinite(y[-1])
+
+
 def _min_gap(x: np.ndarray) -> float:
     return float((x[1:] - x[:-1]).min()) if x.size > 1 else math.inf
 
@@ -214,6 +230,8 @@ def integrate(
     x = start.as_array()
     _require_in_domain(spec, x)
     lo, hi = spec.domain.lower, spec.domain.upper
+    # the last doubles inside the domain
+    first, last = math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)
     n = x.size
     *lower, lam_n = _spectrum(spec, n)
     rho = max(abs(lam_k - lam_n) for lam_k in lower)
@@ -253,7 +271,7 @@ def integrate(
         y_new = None
         for i in range(1, 7):
             yi = x + h * (ks[:i].T @ _A[i])
-            if not np.isfinite(yi).all() or (yi[1:] <= yi[:-1]).any():
+            if not _increasing(yi):
                 break
             ks[i] = _residual_array(spec, yi)
         else:
@@ -271,7 +289,7 @@ def integrate(
         if ordered and gap_new >= 0.5 * gap:
             scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(x), np.abs(y_new))
             e = h * (ks.T @ _E) / scale
-            err = math.sqrt(float((e * e).sum()) / n)
+            err = math.sqrt(float(e @ e) / n)
         else:
             err = math.inf
 
@@ -297,6 +315,10 @@ def integrate(
 
         if rnorm < opts.residual_tol:
             return finish(TerminationReason.CONVERGED)
+        # an end particle on the last double, pushed outwards: any step
+        # that moves it leaves the domain, and a shorter one moves nothing
+        if x[-1] == last and f[-1] > 0.0 or x[0] == first and f[0] < 0.0:
+            return finish(TerminationReason.LEFT_DOMAIN)
         if t >= t_max * (1.0 - 1e-15):
             return finish(TerminationReason.MAX_TIME)
         if accepted % opts.snapshot_stride == 0:

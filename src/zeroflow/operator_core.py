@@ -190,7 +190,17 @@ class EquationSpec:
 
     # polynomial evaluations; all accept scalars or numpy arrays
     def p(self, x):
-        return (self.p2 * x + self.p1) * x + self.p0
+        """Horner from the highest nonzero coefficient, adding p1 only when
+        it is nonzero: for finite x the same doubles as the full quadratic,
+        in fewer array passes."""
+        if self.p2:
+            px = self.p2 * x
+            if self.p1:
+                px += self.p1
+            return px * x + self.p0
+        if self.p1:
+            return self.p1 * x + self.p0
+        return 0.0 * x + self.p0
 
     def dp(self, x):
         return 2.0 * self.p2 * x + self.p1
@@ -408,21 +418,30 @@ def _newton_correction(b: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarra
     the package's one evaluation of the eigenpolynomial at given points.
 
     (P_k, P_k') and (P_(k-1), P_(k-1)') are two (2, len(x)) arrays, updated
-    by one set of array operations per k.  Every 8th k, each point's two
+    by one set of array operations per k.  Every m-th k, each point's two
     pairs are multiplied by 2^(-e), with e the binary exponent (np.frexp) of
-    that point's largest entry.  A power of two scales exactly, so delta is
-    the ratio the unscaled recurrence would give, to the last bit, wherever
-    that one stays inside double range (Hermite at n = 1000 reaches about
-    e^1000).  Between rescales one step multiplies P by at most
-    (|x - b_k| + s_(k-1)) / s_k, and P' by that plus its product-rule term
-    P_k / s_k.  Rescaling the spec (x, b and s by sigma, P' by 1/sigma)
-    leaves these ratios unchanged, so any scale of spec is safe; eight
-    steps overflow only if a ratio passes 2^127.
+    that point's largest entry, which leaves every entry at most 1.  A power
+    of two scales exactly, so delta is the ratio the unscaled recurrence
+    would give, to the last bit, wherever that one stays inside double
+    range (Hermite at n = 1000 reaches about e^1000).
+
+    The period m comes from a bound on one step's growth, computed once per
+    call.  A step forms (x - b_k) P_k - s_(k-1) P_(k-1) (plus P_k for P')
+    before it divides by s_k (1 at the last step), so with entries at most
+    v its intermediates stay below (max|x| + max|b| + max(s, 1) + 1) v and
+    its results below G v, G = max(2, that sum / min(s, 1)).  m is the
+    largest period up to 8 with G^m <= 2^1000, so no m steps can overflow.
+    Every oracle input keeps m = 8 (G <= 2^125); points near 1e100 take
+    m = 3, and points beyond about 3e150 are rescaled at every step.
     """
     bs = b.tolist()
     # the last step skips the normalisation: P_n / P_n' does not need it
     up = s.tolist() + [1.0]
-    down = [0.0] + s.tolist()
+    down = [0.0] + up[:-1]
+    reach = float(np.abs(x).max()) + max(max(bs), -min(bs)) + max(up) + 1.0
+    growth = max(2.0, reach / min(up))
+    # an infinite point takes m = 1, a NaN one leaves m = 8
+    period = int(min(8.0, max(1.0, 1000.0 / math.log2(growth))))
     cur, prev = np.zeros((2, 2, len(x)))
     cur[0] = 1.0
     for k, bk in enumerate(bs):
@@ -431,7 +450,7 @@ def _newton_correction(b: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarra
         nxt[1] += cur[0]
         nxt /= up[k]
         prev, cur = cur, nxt
-        if k % 8 == 7:
+        if k % period == period - 1:
             e = np.frexp(np.maximum(np.abs(cur), np.abs(prev)).max(axis=0))[1]
             cur = np.ldexp(cur, -e)
             prev = np.ldexp(prev, -e)

@@ -44,7 +44,6 @@ from .operator_core import (
     _monic_column,
     _newton_correction,
     _orthonormal_recurrence,
-    _recurrence,  # unused here; tests reach the kernels through spectral
     _spectrum,
     check_simple_spectrum,
 )

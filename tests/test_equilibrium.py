@@ -479,6 +479,22 @@ class TestVerifyTheorem1:
             report = verify_theorem1(spec, Configuration(moved), tol=1e-9)
             assert report.operator_defect == pytest.approx(move / scale, rel=0.01), i
 
+    @pytest.mark.parametrize(
+        "points,defect",
+        [
+            ((1.0, 1e200), 0.5),
+            (np.concatenate((-np.geomspace(1e101, 1e100, 10), np.geomspace(1e100, 1e101, 10))), 0.05),
+        ],
+        ids=["1e200", "pm1e100"],
+    )
+    def test_defect_finite_far_beyond_the_zeros(self, points, defect):
+        # far out y_n(x) / y_n'(x) ~ x / n: eight unscaled steps of ratio
+        # |x| would overflow, so the rescale period shrinks with the points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_theorem1(HER, Configuration(points), tol=1e-9)
+        assert report.operator_defect == pytest.approx(defect, rel=1e-12)
+
     def test_zero_derivative_reads_inf_without_warning(self):
         # y_2 = x^2 - 1/3 has y_2' = 0 at x = 0
         with warnings.catch_warnings():

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -74,7 +75,9 @@ class TestFlowRhs:
             inv = 1.0 / diff
             np.fill_diagonal(inv, 0.0)
             s = 2.0 * inv.sum(axis=1)
-            expect = spec.p(x) * s + spec.dp(x) - spec.q(x)
+            # p' - q folded into one linear polynomial
+            fold = (2.0 * spec.p2 - spec.q1) * x + (spec.p1 - spec.q0)
+            expect = spec.p(x) * s + fold
             got = _residual_array(spec, x)
             assert got.tobytes() == expect.tobytes(), name
 
@@ -83,6 +86,49 @@ class TestFlowRhs:
             cfg = oracle_zeros(spec, 6)
             scale = 1.0 + np.max(np.abs(cfg.as_array()))
             assert np.max(np.abs(residual(spec, cfg))) < 1e-8 * scale
+
+
+def _old_stage_test(y: np.ndarray) -> bool:
+    """The stage test as first written: every entry finite, no neighbours
+    out of order."""
+    return bool(np.isfinite(y).all() and not (y[1:] <= y[:-1]).any())
+
+
+class TestStageTest:
+    @pytest.mark.parametrize(
+        "y",
+        [
+            [0.5],
+            [math.nan],
+            [math.inf],
+            [-math.inf],
+            [0.0, 1.0, 2.0],
+            [math.nan, 1.0, 2.0],
+            [0.0, math.nan, 2.0],
+            [0.0, 1.0, math.nan],
+            [-math.inf, 1.0, 2.0],
+            [0.0, 1.0, math.inf],
+            [-math.inf, math.inf],
+            [math.inf, -math.inf],
+            [0.0, 1.0, 1.0, 2.0],
+            [0.0, 0.0],
+            [-0.0, 0.0],
+            [2.0, 1.0],
+            [0.0, math.inf, 2.0],
+            [0.0, -math.inf, 2.0],
+        ],
+    )
+    def test_accepts_exactly_what_the_two_pass_test_accepts(self, y):
+        y = np.array(y)
+        assert flow._increasing(y) is _old_stage_test(y)
+
+    def test_random_vectors_with_nan_inf_and_ties(self, rng):
+        pool = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 1.0 + 2**-52, 3.0])
+        for _ in range(2000):
+            y = np.sort(rng.choice(pool, size=rng.integers(1, 6)))
+            if rng.random() < 0.5:
+                rng.shuffle(y)
+            assert flow._increasing(y) is _old_stage_test(y), y
 
 
 class TestDefaultInit:
@@ -243,6 +289,23 @@ class TestIntegrate:
             FlowOptions(t_max=50.0, residual_tol=1e-13),
         )
         assert traj.terminated_by is TerminationReason.LEFT_DOMAIN
+
+    @pytest.mark.parametrize("n", [100, 300])
+    @pytest.mark.parametrize("q0", [-2.0, 2.0], ids=["jacobi(-1.5,0.5)", "mirror"])
+    def test_particle_pinned_at_an_end_leaves_promptly(self, q0, n):
+        # p = 1 - x^2, q = -x -+ 2 pushes an end particle outwards; from the
+        # equispaced start it lands on the last double inside the end, where
+        # only steps too short to move it pass the domain guard
+        spec = EquationSpec(-1.0, 0.0, 1.0, -1.0, q0, Domain(-1.0, 1.0))
+        start = default_init(spec, n)
+        t0 = time.perf_counter()
+        traj = integrate(spec, start, FlowOptions())
+        elapsed = time.perf_counter() - t0
+        assert traj.terminated_by is TerminationReason.LEFT_DOMAIN
+        assert elapsed < 1.0
+        x = traj.final.config.as_array()
+        end = x[-1] if q0 < 0 else -x[0]
+        assert end == math.nextafter(1.0, 0.0)
 
     def test_snapshot_stride_decimation(self):
         dense = integrate(

@@ -75,6 +75,22 @@ class TestEquationSpec:
         with pytest.raises(ValueError, match=r"vanishes at x=0 strictly"):
             EquationSpec(1.0, 0.0, 0.0, 0.0, 1.0, Domain(-1, 1))
 
+    @pytest.mark.parametrize(
+        "p2,p1,p0",
+        [(0.0, 0.0, 1.0), (0.0, 0.0, -2.5), (0.0, 1.0, 0.0), (0.0, -3.0, 0.5),
+         (-1.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.7, -1.3, 2.1)],  # fmt: skip
+    )
+    def test_p_gives_the_doubles_of_the_full_quadratic(self, p2, p1, p0, rng):
+        # Horner from the highest nonzero coefficient, skipping a zero p1
+        spec = EquationSpec(p2, p1, p0, 1.0, 0.0, Domain(5.0, math.inf))
+        x = np.concatenate((rng.normal(size=200), rng.normal(size=200) * 1e150,
+                            [0.0, -0.0, 1.0, -1.0, 1e-300]))  # fmt: skip
+        full = (p2 * x + p1) * x + p0
+        assert spec.p(x).tobytes() == full.tobytes()
+        assert spec.p(x).shape == x.shape
+        for v in x[:5].tolist() + [0.0, -0.0]:
+            assert np.float64(spec.p(v)).tobytes() == np.float64((p2 * v + p1) * v + p0).tobytes()
+
 
 class TestRealRoots:
     @pytest.mark.parametrize(

@@ -25,14 +25,8 @@ from zeroflow import (
     residual,
 )
 from zeroflow import spectral
-from zeroflow.operator_core import REAL_LINE
-from zeroflow.spectral import (
-    F64_ORACLE_LIMIT,
-    _newton_correction,
-    _recurrence,
-    _recurrence_zeros,
-    eigenbasis_matrix,
-)
+from zeroflow.operator_core import REAL_LINE, _newton_correction, _recurrence
+from zeroflow.spectral import F64_ORACLE_LIMIT, _recurrence_zeros, eigenbasis_matrix
 from conftest import CLASSICAL_SPECS, hermite_at, jacobi_on
 
 LAG = make_classical(ClassicalFamily.laguerre(0.0))
