@@ -29,6 +29,8 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# one BLAS and OpenMP thread in every measuring process, as bench/run.py sets it
+THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def _seeds(text: str) -> list[int]:
@@ -66,6 +68,16 @@ def _trees(tmp: str, parent: str, change: str | None) -> dict:
             os.mkdir(trees[side])
             _export(rev, trees[side])
     return trees
+
+
+def last_json(script: str, *args: str, cwd: str | None = None):
+    """Run ``script`` with ``args`` in a fresh process with THREADS pinned
+    and return the JSON value on the last line it prints."""
+    done = subprocess.run(
+        [sys.executable, os.path.abspath(script), *args],
+        cwd=cwd, env=dict(os.environ, **THREADS), capture_output=True, text=True, check=True,
+    )  # fmt: skip
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def _run(tree: str, args, seed: int) -> dict:

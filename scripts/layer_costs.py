@@ -36,7 +36,6 @@ import argparse
 import importlib.util
 import json
 import os
-import subprocess
 import sys
 import tempfile
 import time
@@ -45,7 +44,6 @@ import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_pair  # noqa: E402
-from same_results import THREADS  # noqa: E402
 
 ROOT = bench_pair.ROOT
 SIDES = ("parent", "change")
@@ -150,7 +148,7 @@ def costs(trees: dict, first: int) -> dict:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
-        "threads": {var: os.environ.get(var) for var in THREADS},
+        "threads": {var: os.environ.get(var) for var in bench_pair.THREADS},
         "cpu_count": os.cpu_count(),
     }
     return {"costs": out, "environment": environment}
@@ -190,11 +188,7 @@ def summarize(rows: list[dict]) -> dict:
 
 
 def _costs_in(trees: dict, first: int) -> dict:
-    cmd = [sys.executable, os.path.abspath(__file__), "--costs-of", json.dumps(trees),
-           "--first", str(first)]  # fmt: skip
-    env = dict(os.environ, **THREADS)
-    done = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return bench_pair.last_json(__file__, "--costs-of", json.dumps(trees), "--first", str(first))
 
 
 def main(argv=None) -> int:

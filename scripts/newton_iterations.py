@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 import tempfile
 
@@ -30,7 +29,6 @@ import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_pair  # noqa: E402
-from same_results import THREADS  # noqa: E402
 
 ROOT = bench_pair.ROOT
 
@@ -93,10 +91,7 @@ def compare(parent: list[list], change: list[list]) -> dict:
 
 
 def _counts_in(tree: str, seeds: str) -> list[list]:
-    cmd = [sys.executable, os.path.abspath(__file__), "--counts-of", tree, "--seeds", seeds]
-    env = dict(os.environ, **THREADS)
-    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return bench_pair.last_json(__file__, "--counts-of", tree, "--seeds", seeds, cwd=tree)
 
 
 def main(argv=None) -> int:

@@ -23,7 +23,6 @@ import hashlib
 import json
 import math
 import os
-import subprocess
 import sys
 import tempfile
 
@@ -34,8 +33,6 @@ import bench_pair  # noqa: E402
 
 ROOT = bench_pair.ROOT
 EPS = float(np.finfo(float).eps)
-# one BLAS thread in both trees, as bench/run.py sets it
-THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def result_bytes(result) -> bytes:
@@ -140,10 +137,7 @@ def largest_moves(parent: list[list], change: list[list]) -> dict[str, tuple]:
 
 
 def _digests_in(tree: str, seeds: str) -> list[list]:
-    cmd = [sys.executable, os.path.abspath(__file__), "--digests-of", tree, "--seeds", seeds]
-    env = dict(os.environ, **THREADS)
-    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return bench_pair.last_json(__file__, "--digests-of", tree, "--seeds", seeds, cwd=tree)
 
 
 def main(argv=None) -> int:

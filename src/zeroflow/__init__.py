@@ -5,8 +5,9 @@ eigenfunction (deg p <= 2, deg q <= 1):
 
 * an interacting-particle flow whose unique stationary point is the zero
   set and which converges at an exponential rate (``flow``),
-* damped Newton iteration directly on the electrostatic equilibrium
-  equations (``equilibrium``),
+* Newton's method directly on the electrostatic equilibrium equations,
+  with steps that act on the gaps between the points so that every iterate
+  stays ordered and inside the domain (``equilibrium``),
 * a spectral oracle: one triangular back-substitution for the monomial
   eigenbasis plus real-root isolation at low degree, the eigenvalues of the
   three-term recurrence's Jacobi matrix above it (``spectral``).

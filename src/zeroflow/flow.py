@@ -64,9 +64,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .equilibrium import Configuration, _require_in_domain, _residual_array
+from .equilibrium import Configuration, _residual_array
 from .errors import InsufficientDecay
-from .operator_core import EquationSpec, _spectrum, check_simple_spectrum, eigenvalue_gap
+from .operator_core import (
+    EquationSpec,
+    _require_in_domain,
+    _simple_spectrum,
+    _spectrum,
+    eigenvalue_gap,
+)
 
 __all__ = [
     "TerminationReason",
@@ -227,20 +233,18 @@ def integrate(
     The slope at the accepted point (FSAL) is kept as a copy, independent
     of later attempts.
     """
-    x = start.as_array()
-    _require_in_domain(spec, x)
+    x = _require_in_domain(spec.domain, start.as_array())
     lo, hi = spec.domain.lower, spec.domain.upper
     # the last doubles inside the domain
     first, last = math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)
     n = x.size
-    *lower, lam_n = _spectrum(spec, n)
-    rho = max(abs(lam_k - lam_n) for lam_k in lower)
-    h_stable = _STABLE_H_RHO / rho if rho > 0 else math.inf
     t_max = opts.t_max
+    # the default horizon rests on the rate of a simple spectrum
+    lam = _spectrum(spec, n) if t_max is not None else _simple_spectrum(spec, n)
+    rho = float(np.max(np.abs(lam[:-1] - lam[-1])))
+    h_stable = _STABLE_H_RHO / rho if rho > 0 else math.inf
     if t_max is None:
-        if (degenerate := check_simple_spectrum(spec, n)) is not None:
-            raise degenerate
-        t_max = 10.0 + 50.0 / (lam_n - lower[-1])
+        t_max = 10.0 + 50.0 / float(lam[-1] - lam[-2])
 
     f = _residual_array(spec, x)
     rnorm = float(np.abs(f).max())
@@ -437,5 +441,5 @@ def default_init(
         pts = np.sort(rng.uniform(middle - half, middle + half, size=n))
     else:
         pts = left + width * np.arange(1.0, n + 1.0) / (n + 1.0)
-        _require_in_domain(spec, pts)
+        _require_in_domain(spec.domain, pts)
     return Configuration(pts)

@@ -13,16 +13,22 @@ diagonal carries the eigenvalues
 
 Signs are normalized so that lambda_n > 0 for n >= 1 for every classical
 family and the classical orthogonal polynomials are eigenfunctions.
-check_simple_spectrum returns the DegenerateSpectrumError that names the
-first pair of eigenvalues that fails to increase, or None.  Only this module
-lists lambda_0 .. lambda_n (_spectrum) and solves p = 0 (_real_roots).
+
+This module owns the two rules under which zeros and electrostatic
+equilibria correspond, and every route refuses its input through it.
+Points must lie strictly inside the open domain (_require_in_domain).  The
+spectrum must be simple and increasing: check_simple_spectrum returns the
+DegenerateSpectrumError that names the first pair of eigenvalues that fails
+to increase, or None, and _simple_spectrum raises that error or returns the
+spectrum.  Only this module lists lambda_0 .. lambda_n (_spectrum, one
+float64 array) and solves p = 0 (_real_roots).
 
 The private kernels of the eigenpolynomials live here too, below the
 modules that use them: the monic column by back-substitution
 (_monic_column), the three-term recurrence in closed form (_recurrence),
-its refusal when some g_k <= 0 leaves no positive weight
-(_orthonormal_recurrence), and the one evaluation of y_n / y_n' at given
-points (_newton_correction).  spectral's oracle and
+its refusals of a spectrum that is not simple and of some g_k <= 0 that
+leaves no positive weight (_orthonormal_recurrence), and the one evaluation
+of y_n / y_n' at given points (_newton_correction).  spectral's oracle and
 equilibrium.verify_theorem1 both read them.
 """
 
@@ -75,6 +81,18 @@ class Domain:
     @property
     def is_bounded(self) -> bool:
         return math.isfinite(self.lower) and math.isfinite(self.upper)
+
+
+def _require_in_domain(domain: Domain, x: np.ndarray) -> np.ndarray:
+    """x, once it lies inside the open domain; ValueError otherwise.  Every
+    caller passes sorted points (a Configuration's array, or default_init's
+    points), so the two end points decide."""
+    if not (domain.lower < x[0] and x[-1] < domain.upper):
+        raise ValueError(
+            f"configuration must lie inside the open domain "
+            f"({domain.lower:g}, {domain.upper:g})"
+        )
+    return x
 
 
 REAL_LINE = Domain(-math.inf, math.inf)
@@ -296,18 +314,20 @@ def operator_matrix(spec: EquationSpec, n: int) -> np.ndarray:
     return M
 
 
-def _spectrum(spec: EquationSpec, n: int) -> list[float]:
-    """lambda_0 .. lambda_n as Python floats, each as eigenvalue gives it."""
+def _spectrum(spec: EquationSpec, n: int) -> np.ndarray:
+    """lambda_0 .. lambda_n as one float64 array: eigenvalue's operations on
+    m = 0.0 .. n, so each entry is the double eigenvalue gives."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return [eigenvalue(spec, m) for m in range(n + 1)]
+    m = np.arange(n + 1.0)
+    return spec.q1 * m - spec.p2 * m * (m + 1.0)
 
 
 def _bands(spec: EquationSpec, n: int) -> tuple[list[float], list[float], list[float]]:
     """operator_matrix's diagonals M[j][j+k], k = 0, 1, 2, as lists of
     Python floats indexed by row j; entry j does not depend on n."""
     return (
-        _spectrum(spec, n),
+        _spectrum(spec, n).tolist(),
         [m * (spec.q0 - spec.p1 * m) for m in range(1, n + 1)],
         [-spec.p0 * m * (m - 1) for m in range(2, n + 1)],
     )
@@ -318,16 +338,24 @@ def check_simple_spectrum(
 ) -> DegenerateSpectrumError | None:
     """None iff lambda_0 .. lambda_n are strictly increasing (hence pairwise
     distinct); otherwise the error naming the first consecutive offending
-    pair, for the caller to raise.
+    pair, which _simple_spectrum raises for every route.
 
     Since lambda_k is quadratic in k, strict increase of consecutive values
     is equivalent to the full pairwise condition.
     """
-    lam = _spectrum(spec, n)
+    lam = _spectrum(spec, n).tolist()
     for k in range(1, n + 1):
         if not lam[k] > lam[k - 1]:
             return DegenerateSpectrumError(k - 1, k, lam[k - 1], lam[k])
     return None
+
+
+def _simple_spectrum(spec: EquationSpec, n: int) -> np.ndarray:
+    """_spectrum(spec, n), once check_simple_spectrum has found it simple and
+    increasing; raises that check's DegenerateSpectrumError otherwise."""
+    if (defect := check_simple_spectrum(spec, n)) is not None:
+        raise defect
+    return _spectrum(spec, n)
 
 
 def _monic_column(bands: tuple[list[float], ...], k: int) -> list[float]:
@@ -388,15 +416,16 @@ def _recurrence(spec: EquationSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _orthonormal_recurrence(spec: EquationSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """b_0..b_(n-1) and s_k = sqrt(g_k), k = 1..n-1, of _recurrence, for
-    a spec whose spectrum is simple and increasing up to n; each caller
-    raises check_simple_spectrum's error first.
+    """b_0..b_(n-1) and s_k = sqrt(g_k), k = 1..n-1, of _recurrence.
+    Raises _simple_spectrum's DegenerateSpectrumError first, unless the
+    spectrum is simple and increasing up to n.
 
     By Favard's theorem, g_k > 0 for every k gives a positive weight that
     makes the eigenpolynomials orthogonal, and with it real, simple zeros.
     The converse does not hold: a spec with some g_k <= 0 may still have n
     real zeros, but nothing certifies them, so it raises RootCountMismatch.
     """
+    _simple_spectrum(spec, n)
     b, g = _recurrence(spec, n)
     bad = np.flatnonzero(~(g > 0.0))
     if bad.size:

@@ -22,8 +22,9 @@ evaluates for all zeros at once and rescales by exact powers of two
 (_newton_correction).  Both paths run in double precision.
 
 The column loop and the recurrence kernels (_monic_column, _recurrence,
-_orthonormal_recurrence with its g_k > 0 refusal, _newton_correction) live in
-operator_core, beside _bands and _spectrum, because
+_orthonormal_recurrence with its refusals, _newton_correction) live in
+operator_core, beside _bands, _spectrum and the refusal of a spectrum that
+is not simple (_simple_spectrum), because
 equilibrium.verify_theorem1 evaluates y_n on the same recurrence; this
 module imports them from there.
 """
@@ -44,8 +45,8 @@ from .operator_core import (
     _monic_column,
     _newton_correction,
     _orthonormal_recurrence,
+    _simple_spectrum,
     _spectrum,
-    check_simple_spectrum,
 )
 
 __all__ = [
@@ -97,18 +98,12 @@ class PolynomialCoefficients(_Vector):
         return self._v.size - 1
 
 
-def _require_simple(spec: EquationSpec, n: int) -> None:
-    defect = check_simple_spectrum(spec, n)
-    if defect is not None:
-        raise defect
-
-
 def eigenbasis_matrix(spec: EquationSpec, n: int) -> np.ndarray:
     """Unit upper triangular matrix whose column k holds the monic degree-k
     eigenpolynomial's coefficients (ascending, zero padded), k = 0 .. n:
     _monic_column for each k.  Requires a simple increasing spectrum up to n.
     """
-    _require_simple(spec, n)
+    _simple_spectrum(spec, n)
     bands = _bands(spec, n)
     Y = np.zeros((n + 1, n + 1))
     for k in range(n + 1):
@@ -121,7 +116,7 @@ def eigen_coefficients(spec: EquationSpec, n: int) -> PolynomialCoefficients:
     the last column of eigenbasis_matrix(spec, n) to the last bit.
     Requires a simple increasing spectrum up to n.
     """
-    _require_simple(spec, n)
+    _simple_spectrum(spec, n)
     return PolynomialCoefficients(_monic_column(_bands(spec, n), n))
 
 
@@ -258,15 +253,14 @@ def _recurrence_zeros(spec: EquationSpec, n: int) -> Configuration:
     """Zeros as the eigenvalues of the symmetric tridiagonal Jacobi matrix
     (Golub & Welsch 1969), polished by one Newton step.
 
-    Raises DegenerateSpectrumError unless the spectrum is simple and
-    increasing up to n, then _orthonormal_recurrence's RootCountMismatch
-    for some g_k <= 0, both before any eigen-solve.  eigvalsh reads the
+    _orthonormal_recurrence raises DegenerateSpectrumError unless the
+    spectrum is simple and increasing up to n, then RootCountMismatch for
+    some g_k <= 0, both before any eigen-solve.  eigvalsh reads the
     lower triangle only, so the matrix holds just b on its diagonal and s
     below it.  The Newton step is x - _newton_correction(b, s, x): the
     orthonormal recurrence gives P_n / P_n' at every eigenvalue at once,
     rescaled by exact powers of two on the way.
     """
-    _require_simple(spec, n)
     b, s = _orthonormal_recurrence(spec, n)
     x = np.linalg.eigvalsh(np.diag(b) + np.diag(s, -1), UPLO="L")
     x = x - _newton_correction(b, s, x)
@@ -284,8 +278,9 @@ def oracle_zeros(spec: EquationSpec, n: int) -> Configuration:
     """
     if n < 1:
         raise ValueError("oracle_zeros requires n >= 1")
-    # either path checks the spectrum first: eigen_coefficients or
-    # _recurrence_zeros
+    # either path refuses a spectrum that is not simple before any other
+    # work, through operator_core._simple_spectrum: eigen_coefficients, or
+    # _orthonormal_recurrence in _recurrence_zeros
     if n <= F64_ORACLE_LIMIT:
         config = poly_roots(eigen_coefficients(spec, n), spec.domain)
     else:
@@ -316,7 +311,7 @@ def heat_propagate(
         raise ValueError("propagation time must be nonnegative and finite")
     n = coeffs.degree
     Y = eigenbasis_matrix(spec, n)
-    lam = np.array(_spectrum(spec, n))
+    lam = _spectrum(spec, n)
     if lam[n] * t > _EXP_CAP:
         raise PropagatorOverflow(
             f"lambda_n * t = {lam[n] * t:.3g} exceeds {_EXP_CAP:g}"

@@ -10,6 +10,7 @@ from zeroflow import (
     DegenerateSpectrumError,
     Domain,
     EquationSpec,
+    FlowOptions,
     MaxIterExceeded,
     PointOnBoundary,
     RootCountMismatch,
@@ -17,6 +18,7 @@ from zeroflow import (
     ZeroflowError,
     default_init,
     eigenvalue,
+    integrate,
     make_classical,
     newton_solve,
     oracle_zeros,
@@ -27,7 +29,7 @@ from zeroflow import (
     verify_theorem1,
 )
 from zeroflow import equilibrium
-from conftest import CLASSICAL_SPECS, MAPPED_SPECS, random_config
+from conftest import CLASSICAL_SPECS, MAPPED_SPECS, laguerre_left_of, random_config
 
 HER = make_classical(ClassicalFamily.hermite())
 LEG = make_classical(ClassicalFamily.legendre())
@@ -138,6 +140,42 @@ class TestResidual:
                 pts[i] += 1e-3
                 r = residual(spec, Configuration(tuple(pts)))
                 assert np.max(np.abs(r)) > 1e-4, (name, n, i)
+
+
+# (spec, points with the first on or below a finite lower end, or the last
+# on or above a finite upper end, the same points with that one a double
+# inside the end)
+_INSIDE_LAG = (math.nextafter(0.0, 1.0), 1.0)
+_INSIDE_LEG_LOWER = (math.nextafter(-1.0, 0.0), 0.5)
+_INSIDE_LEG_UPPER = (-0.5, math.nextafter(1.0, 0.0))
+_INSIDE_LEFT = (-3.0, math.nextafter(4.1, 0.0))
+_LEFT = laguerre_left_of(4.1, 2.5)  # on (-inf, 4.1)
+_ENDS = [
+    pytest.param(LAG, (0.0, 1.0), _INSIDE_LAG, id="laguerre-on-lower"),
+    pytest.param(LAG, (-1e-300, 1.0), _INSIDE_LAG, id="laguerre-below-lower"),
+    pytest.param(LEG, (-1.0, 0.5), _INSIDE_LEG_LOWER, id="legendre-on-lower"),
+    pytest.param(LEG, (-2.0, 0.5), _INSIDE_LEG_LOWER, id="legendre-below-lower"),
+    pytest.param(LEG, (-0.5, 1.0), _INSIDE_LEG_UPPER, id="legendre-on-upper"),
+    pytest.param(LEG, (-0.5, 1.5), _INSIDE_LEG_UPPER, id="legendre-above-upper"),
+    pytest.param(_LEFT, (-3.0, 4.1), _INSIDE_LEFT, id="left-half-line-on-upper"),
+    pytest.param(_LEFT, (-3.0, 9.0), _INSIDE_LEFT, id="left-half-line-above-upper"),
+]
+_ENTRY_CALLS = [
+    pytest.param(residual, id="residual"),
+    pytest.param(residual_jacobian, id="residual_jacobian"),
+    pytest.param(lambda spec, cfg: newton_solve(spec, cfg, tol=1e-10), id="newton_solve"),
+    pytest.param(
+        lambda spec, cfg: integrate(spec, cfg, FlowOptions(t_max=1.0)), id="integrate"
+    ),
+]
+
+
+@pytest.mark.parametrize("call", _ENTRY_CALLS)
+@pytest.mark.parametrize("spec,outside,inside", _ENDS)
+def test_every_route_refuses_both_domain_ends(call, spec, outside, inside):
+    with pytest.raises(ValueError, match="inside the open domain"):
+        call(spec, Configuration(outside))
+    assert np.isfinite(residual(spec, Configuration(inside))).all()
 
 
 class TestResidualJacobian:

@@ -16,7 +16,7 @@ from zeroflow import (
     make_classical,
     operator_matrix,
 )
-from zeroflow.operator_core import _real_roots, _spectrum
+from zeroflow.operator_core import REAL_LINE, _real_roots, _spectrum
 from conftest import CLASSICAL_SPECS
 
 
@@ -194,7 +194,7 @@ class TestEigenvalue:
             lam = _spectrum(spec, n)
             ref = [eigenvalue(spec, k) for k in range(n + 1)]
             assert np.array(lam).tobytes() == np.array(ref).tobytes()
-            assert all(type(v) is float for v in lam)
+            assert type(lam) is np.ndarray and lam.dtype == np.float64
             checked += 1
 
     def test_gap(self):
@@ -302,6 +302,47 @@ class TestSimpleSpectrum:
         defect = check_simple_spectrum(spec, 5)
         assert isinstance(defect, DegenerateSpectrumError)
         assert (defect.j, defect.k) == (0, 1)
+
+    def test_array_and_refusal_match_the_loop(self, rng):
+        # the per-degree loop that _spectrum and check_simple_spectrum
+        # replaced, over random specs up to n = 2000, a third of them with
+        # q1 = 2 p2 k, where lambda_k - lambda_(k-1) = q1 - 2 p2 k vanishes
+        special = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0]
+        found = {"simple": 0, "degenerate": 0}
+        for case in range(240):
+            pick = rng.random(5) < 0.3
+            coeffs = np.where(pick, rng.choice(special, 5), rng.uniform(-3, 3, 5))
+            if case % 2:
+                n = int(rng.choice([0, 1, 2, 5, 13, 60, 200, 1000, 2000]))
+            else:
+                n = int(rng.integers(0, 2001))
+            if case % 3 == 0 and n >= 1:
+                if case % 2:  # a dyadic p2 makes lambda_k = lambda_(k-1) exactly
+                    coeffs[0] = rng.choice([-1.0, -0.5, 0.25, 1.5])
+                coeffs[3] = 2.0 * coeffs[0] * int(rng.integers(1, n + 1))
+            roots = _real_roots(*coeffs[:3])  # the domain lies right of them
+            domain = Domain(roots[-1] + 1.0, math.inf) if roots else REAL_LINE
+            try:
+                spec = EquationSpec(*coeffs, domain)
+            except ValueError:  # p = 0
+                continue
+            lam = [eigenvalue(spec, m) for m in range(n + 1)]
+            assert _spectrum(spec, n).tobytes() == np.array(lam).tobytes()
+            want = next(
+                (DegenerateSpectrumError(k - 1, k, lam[k - 1], lam[k])
+                 for k in range(1, n + 1) if not lam[k] > lam[k - 1]),
+                None,
+            )  # fmt: skip
+            got = check_simple_spectrum(spec, n)
+            found["simple" if want is None else "degenerate"] += 1
+            if want is None:
+                assert got is None
+            else:
+                assert (got.j, got.k) == (want.j, want.k)
+                pair = np.array([got.lambda_j, got.lambda_k])
+                assert pair.tobytes() == np.array([want.lambda_j, want.lambda_k]).tobytes()
+                assert str(got) == str(want)
+        assert min(found.values()) >= 20, found
 
     def test_eventually_decreasing(self):
         # p2 > 0 with small q1 turns the spectrum around
