@@ -1,25 +1,34 @@
-"""Paired benchmark runs of a parent revision against a change.
+"""Paired benchmark runs of a parent revision against a change, and the
+tree-pair harness that every comparison script shares.
 
     python3 scripts/bench_pair.py --workload flow --parent HEAD~1 \
         [--change REV] --seeds 1-10 [--seconds 15] [--trace 0|1] [--out FILE]
 
-Run from the root of a checkout; the change is its working tree, or with
-``--change`` a revision, so that ``--parent HEAD --change HEAD`` measures
-the noise floor of two identical sides.  Each revision is exported with
-``git archive`` into a temporary directory, which is removed afterwards.
-For every seed the script runs ``bench/run.py`` once on each side, back to
-back, and alternates which side runs first.  It writes ``BENCH_<workload>.json`` (or ``--out``): the
-protocol, the environment, one row per run, the median and quartiles of
-every metric on each side, for how many seeds the change did better, and
-a verdict per metric (see ``verdict``), which it also prints.  For each
-end-to-end metric it also prints and writes the change's relative median
-shift against the metric's ``bound`` in BENCHMARK.json (see
-``against_bound``).
+Run from the root of a checkout.  Every script in ``scripts/`` that
+compares two trees takes them from ``trees``: the parent revision, and the
+change revision where a script has ``--change`` (this one and
+``layer_costs.py``), each exported with ``git archive`` into a temporary
+directory that is removed afterwards; otherwise the change is the working
+tree.  ``--parent HEAD --change HEAD`` thus measures the noise floor of two
+identical sides.  The comparing code comes from the working tree and the
+measured code from each tree, run by ``call_in`` in a fresh process;
+``paired`` holds the statistics of paired runs.
+
+For every seed this script runs ``bench/run.py`` once on each side, back to
+back, and alternates which side runs first.  It writes
+``BENCH_<workload>.json`` (or ``--out``): the protocol, the environment,
+one row per run, the median and quartiles of every metric on each side,
+the quartiles of the change's value over the parent's within each pair,
+for how many seeds the change did better, and a verdict per metric (see
+``verdict``), which it also prints.  For each end-to-end metric it also
+prints and writes the change's relative median shift against the metric's
+``bound`` in BENCHMARK.json (see ``against_bound``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -58,24 +67,39 @@ def _export(ref: str, into: str) -> None:
     subprocess.run(["tar", "-x", "-C", into], input=archive.stdout, check=True)
 
 
-def _trees(tmp: str, parent: str, change: str | None) -> dict:
-    """The tree of each side: ``parent``, and ``change`` when given,
-    exported under ``tmp``; the working tree for a change not given."""
-    trees = {"change": ROOT}
-    for side, rev in (("parent", parent), ("change", change)):
-        if rev:
-            trees[side] = os.path.join(tmp, side)
-            os.mkdir(trees[side])
-            _export(rev, trees[side])
-    return trees
+@contextlib.contextmanager
+def trees(parent: str, change: str | None = None):
+    """The tree of each side, keyed "parent" and "change": each revision
+    given exported into a temporary directory that is removed on exit, and
+    the working tree for a change not given."""
+    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
+        tree_of = {}
+        for side, rev in (("parent", parent), ("change", change)):
+            tree_of[side] = os.path.join(tmp, side) if rev else ROOT
+            if rev:
+                os.mkdir(tree_of[side])
+                _export(rev, tree_of[side])
+        yield tree_of
 
 
-def last_json(script: str, *args: str, cwd: str | None = None):
-    """Run ``script`` with ``args`` in a fresh process with THREADS pinned
-    and return the JSON value on the last line it prints."""
+def revision(ref: str | None) -> str:
+    """The short id of ``ref``, or "working tree" for a change not given."""
+    return _git("rev-parse", "--short", ref) if ref else "working tree"
+
+
+# the fresh process of call_in: argv holds the script, the function's name
+# and its arguments as a JSON list
+_CALL = ("import json, runpy, sys; f = runpy.run_path(sys.argv[1])[sys.argv[2]]; "
+         "print(json.dumps(f(*json.loads(sys.argv[3]))))")  # fmt: skip
+
+
+def call_in(tree: str, script: str, func: str, *args):
+    """The JSON value of ``func(*args)``, a function of ``script``, run in a
+    fresh process whose working directory is ``tree``, with THREADS
+    pinned.  ``args`` travel as JSON."""
     done = subprocess.run(
-        [sys.executable, os.path.abspath(script), *args],
-        cwd=cwd, env=dict(os.environ, **THREADS), capture_output=True, text=True, check=True,
+        [sys.executable, "-c", _CALL, os.path.abspath(script), func, json.dumps(args)],
+        cwd=tree, env=dict(os.environ, **THREADS), stdout=subprocess.PIPE, text=True, check=True,
     )  # fmt: skip
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -141,35 +165,64 @@ def against_bound(
     return shift, "beyond bound" if worse > bound else "within bound"
 
 
+def _spread(values) -> dict:
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(med), "q1": float(q1), "q3": float(q3)}
+
+
+def paired(parent: list[float], change: list[float], better: str) -> dict:
+    """The statistics of one metric over paired runs, ``parent[i]`` and
+    ``change[i]`` being pair i and ``better`` the metric's direction:
+
+    - "parent", "change": each side's median and quartiles;
+    - "change_over_parent": the change's median over the parent's, None
+      when the parent's is 0;
+    - "ratio_per_pair": the median and quartiles of change[i] / parent[i],
+      over the pairs with parent[i] != 0 (None when there is none): both
+      runs of a pair meet the same load, so this ratio is steadier than
+      either side across pairs;
+    - "won": "k/N", the k of N pairs in which the change did better;
+    - "verdict": ``verdict``.
+    """
+    parent, change = np.asarray(parent, float), np.asarray(change, float)
+    sign = 1.0 if better == "higher" else -1.0
+    median, kept = np.median(parent), parent != 0
+    return {
+        "parent": _spread(parent),
+        "change": _spread(change),
+        "change_over_parent": float(np.median(change) / median) if median else None,
+        "ratio_per_pair": _spread(change[kept] / parent[kept]) if kept.any() else None,
+        "won": f"{int(np.sum(sign * (change - parent) > 0))}/{parent.size}",
+        "verdict": verdict(parent, change, better),
+    }
+
+
+def rounded(spread: dict | None, digits: int, scale: float = 1.0) -> dict | None:
+    """A median and quartiles of ``paired``, times ``scale``, to ``digits``."""
+    return spread and {key: round(scale * value, digits) for key, value in spread.items()}
+
+
 def _summary(rows: list[dict], metrics: list[dict]) -> dict:
-    out = {}
-    for side in ("parent", "change"):
-        mine = [r for r in rows if r["side"] == side]
-        out[side] = {}
-        for m in metrics:
-            values = [r[m["name"]] for r in mine]
-            q1, med, q3 = np.percentile(values, [25, 50, 75])
-            out[side][m["name"]] = {"median": round(float(med), 4), "q1": round(float(q1), 4),
-                                    "q3": round(float(q3), 4), "runs": len(values)}  # fmt: skip
     seeds = sorted({r["seed"] for r in rows})
     by = {(r["side"], r["seed"]): r for r in rows}
-    ratio, better, verdicts, bounds = {}, {}, {}, {}
+    keys = ("parent", "change", "change_over_parent", "ratio_per_pair",
+            "pairs_change_better", "verdict", "against_bound")  # fmt: skip
+    out = {key: {} for key in keys}
     for m in metrics:
-        name, sign = m["name"], (1 if m["better"] == "higher" else -1)
+        name = m["name"]
         parent = [by["parent", s][name] for s in seeds]
         change = [by["change", s][name] for s in seeds]
-        parent_median = out["parent"][name]["median"]
-        ratio[name] = round(out["change"][name]["median"] / parent_median, 3) if parent_median else None
-        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-        better[name] = f"{wins}/{len(seeds)}"
-        verdicts[name] = verdict(parent, change, m["better"])
+        stats = paired(parent, change, m["better"])
+        for side in ("parent", "change"):
+            out[side][name] = {**rounded(stats[side], 4), "runs": len(seeds)}
+        ratio = stats["change_over_parent"]
+        out["change_over_parent"][name] = None if ratio is None else round(ratio, 3)
+        out["ratio_per_pair"][name] = rounded(stats["ratio_per_pair"], 3)
+        out["pairs_change_better"][name] = stats["won"]
+        out["verdict"][name] = stats["verdict"]
         if "bound" in m:
             shift, status = against_bound(parent, change, m["better"], m["bound"])
-            bounds[name] = {"shift": round(shift, 4), "bound": m["bound"], "status": status}
-    out["change_over_parent"] = ratio
-    out["pairs_change_better"] = better
-    out["verdict"] = verdicts
-    out["against_bound"] = bounds
+            out["against_bound"][name] = {"shift": round(shift, 4), "bound": m["bound"], "status": status}
     return out
 
 
@@ -187,16 +240,13 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         declared = json.load(fh)
     metrics = declared["per_layer" if args.trace else "end_to_end"]
-    parent_id = _git("rev-parse", "--short", args.parent)
-    change_id = _git("rev-parse", "--short", args.change) if args.change else "working tree"
 
     rows, environment = [], None
-    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        trees = _trees(tmp, args.parent, args.change)
+    with trees(args.parent, args.change) as tree_of:
         for k, seed in enumerate(args.seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for ran, side in zip(("first", "second"), order):
-                run = _run(trees[side], args, seed)
+                run = _run(tree_of[side], args, seed)
                 environment = environment or run["details"]["environment"]
                 rows.append(_row(side, seed, ran, run))
                 shown = {m["name"]: rows[-1][m["name"]] for m in metrics[:3]}
@@ -207,8 +257,8 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "command": f"python3 bench/run.py --workload {args.workload} --seed N "
         f"--seconds {args.seconds:g} --trace {args.trace}",
-        "parent": parent_id,
-        "change": change_id,
+        "parent": revision(args.parent),
+        "change": revision(args.change),
         "protocol": {
             "script": "python3 scripts/bench_pair.py " + " ".join(argv if argv is not None else sys.argv[1:]),
             "warmup": "bench/run.py makes one untimed call per code path before timing",
@@ -217,7 +267,8 @@ def main(argv=None) -> int:
             "setup_s": "median of 7 set-ups: the measured process and six fresh ones",
             "pairing": "one parent run and one change run per seed, back to back; "
             "the side that runs first alternates with the seed",
-            "median": "median and quartiles over the seeds of each side",
+            "median": "median and quartiles over the seeds of each side, and of the change's "
+            "value over the parent's within each pair",
             "verdict": "faster (slower) when the change wins (loses) at least 9/10 of the "
             "pairs, ties counting for neither, and the medians differ by more than the "
             "parent's interquartile spread; unresolved otherwise",
@@ -237,9 +288,12 @@ def main(argv=None) -> int:
     for m in metrics:
         name = m["name"]
         parent, change = summary["parent"][name], summary["change"][name]
+        ratio = summary["ratio_per_pair"][name]
+        per_pair = f"x{ratio['median']:g} (quartiles {ratio['q1']:g}-{ratio['q3']:g})" if ratio else "-"
         line = (f"{name}: {summary['verdict'][name]} (change better in "
                 f"{summary['pairs_change_better'][name]} pairs; median {parent['median']:g} "
-                f"-> {change['median']:g}, parent quartiles {parent['q1']:g}-{parent['q3']:g})")  # fmt: skip
+                f"-> {change['median']:g}, parent quartiles {parent['q1']:g}-{parent['q3']:g}; "
+                f"per pair {per_pair})")  # fmt: skip
         if summary["verdict"][name] == "unresolved":
             line += "; add pairs (20 or more) before quoting it"
         if name in summary["against_bound"]:

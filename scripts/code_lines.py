@@ -7,10 +7,9 @@ Run from the root of a checkout.  A code line is one that holds a token
 other than a comment: blank lines, comment-only lines and the lines of a
 module, class or function docstring do not count, while every line of any
 other string does (see ``code_lines``).  The script prints the count of
-each module and the total.  With ``--parent`` it also exports that
-revision with ``git archive`` into a temporary directory, which is removed
-afterwards, and prints each module's count on both sides and the
-difference.
+each module and the total.  With ``--parent`` it prints each module's
+count in that revision's tree (``bench_pair.trees``) and in the working
+tree, and the difference.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import glob
 import io
 import os
 import sys
-import tempfile
 import tokenize
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -76,9 +74,8 @@ def main(argv=None) -> int:
         print(f"{'total':18} {sum(change.values()):6}")
         return 0
 
-    with tempfile.TemporaryDirectory(prefix="code_lines_") as tmp:
-        bench_pair._export(args.parent, tmp)
-        parent = count_tree(tmp)
+    with bench_pair.trees(args.parent) as trees:
+        parent = count_tree(trees["parent"])
     print(f"{'module':18} {'parent':>6} {'change':>6} {'diff':>6}")
     rows = [(name, parent.get(name, 0), change.get(name, 0)) for name in sorted({*parent, *change})]
     rows.append(("total", sum(parent.values()), sum(change.values())))

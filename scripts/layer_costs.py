@@ -2,16 +2,14 @@
 
     python3 scripts/layer_costs.py --parent HEAD [--change REV] [--rounds 10] [--out FILE]
 
-Run from the root of a checkout; the change is its working tree, or with
-``--change`` a revision.  Each revision is exported with ``git archive``
-into a temporary directory, which is removed afterwards.  Every round is one
-fresh process, with BLAS and OpenMP pinned to one thread as in
-``bench/run.py``, that imports both trees' ``src/zeroflow`` side by side and
-alternates between them batch by batch, so that both sides meet the same
-load on a shared machine; the side that goes first alternates too.  Each
-round times two layers at n = 10, 100 and 1000, for Hermite, Laguerre(0.5)
-and Jacobi(0.3, 1.2), starting from their oracle zeros, and reports the
-mean over the three specs (see ``costs``):
+Run from the root of a checkout; the two trees and the fresh processes are
+``bench_pair``'s, with ``--change`` as there.  Every round is one process
+that imports both trees' ``src/zeroflow`` side by side and alternates
+between them batch by batch, so that both sides meet the same load on a
+shared machine; the side that goes first alternates too.  Each round times
+two layers at n = 10, 100 and 1000, for Hermite, Laguerre(0.5) and
+Jacobi(0.3, 1.2), starting from their oracle zeros, and reports the mean
+over the three specs (see ``costs``):
 
 - ``residual``: one call of ``zeroflow.residual``;
 - ``step``: one accepted Dormand-Prince step of ``zeroflow.integrate``, the
@@ -25,9 +23,8 @@ machine the slower ones measure the other load.  The script writes
 row per side, round, layer and n, and per layer and n the median and
 quartiles over the rounds on each side, the change's median over the
 parent's, the quartiles of the change's time over the parent's within a
-round, in how many rounds the change was faster, and the verdict of
-``bench_pair.verdict`` (see ``summarize``).  It prints one line per layer
-and n.
+round, in how many rounds the change was faster, and the verdict (see
+``summarize``).  It prints one line per layer and n.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ import importlib.util
 import json
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -155,11 +151,12 @@ def costs(trees: dict, first: int) -> dict:
 
 
 def summarize(rows: list[dict]) -> dict:
-    """Per "layer n": each side's median and quartiles in microseconds, the
-    change's median over the parent's, the median and quartiles of the
-    change's time over the parent's within each round, the rounds in which
-    the change took less time, and bench_pair's verdict with lower as
-    better.  ``rows`` hold side, round, layer, n and seconds."""
+    """Per "layer n", from ``bench_pair.paired`` with lower as better: each
+    side's median and quartiles in microseconds, the change's median over
+    the parent's, the median and quartiles of the change's time over the
+    parent's within each round, the rounds in which the change took less
+    time, and the verdict.  ``rows`` hold side, round, layer, n and
+    seconds; a round that one side lacks is left out."""
     by = {(r["side"], r["round"], r["layer"], r["n"]): r["seconds"] for r in rows}
     rounds = sorted({r["round"] for r in rows})
     out = {}
@@ -169,46 +166,32 @@ def summarize(rows: list[dict]) -> dict:
                      if ("parent", k, layer, n) in by and ("change", k, layer, n) in by]  # fmt: skip
             if not pairs:
                 continue
-            parent, change = (np.array(side) for side in zip(*pairs))
-            entry = {}
-            for side, values in (("parent", parent), ("change", change)):
-                q1, med, q3 = np.percentile(1e6 * values, [25, 50, 75])
-                entry[side + "_us"] = {"median": round(float(med), 3), "q1": round(float(q1), 3),
-                                       "q3": round(float(q3), 3)}  # fmt: skip
-            entry["change_over_parent"] = round(float(np.median(change) / np.median(parent)), 3)
-            # both sides of a round meet the same load, so their ratio is
-            # steadier than either side across rounds
-            q1, med, q3 = np.percentile(change / parent, [25, 50, 75])
-            entry["ratio_per_round"] = {"median": round(float(med), 3), "q1": round(float(q1), 3),
-                                        "q3": round(float(q3), 3)}  # fmt: skip
-            entry["rounds_change_faster"] = f"{int(np.sum(change < parent))}/{len(pairs)}"
-            entry["verdict"] = bench_pair.verdict(list(parent), list(change), "lower")
-            out[f"{layer} n={n}"] = entry
+            stats = bench_pair.paired(*zip(*pairs), "lower")
+            out[f"{layer} n={n}"] = {
+                "parent_us": bench_pair.rounded(stats["parent"], 3, 1e6),
+                "change_us": bench_pair.rounded(stats["change"], 3, 1e6),
+                "change_over_parent": round(stats["change_over_parent"], 3),
+                "ratio_per_round": bench_pair.rounded(stats["ratio_per_pair"], 3),
+                "rounds_change_faster": stats["won"],
+                "verdict": stats["verdict"],
+            }
     return out
 
 
 def _costs_in(trees: dict, first: int) -> dict:
-    return bench_pair.last_json(__file__, "--costs-of", json.dumps(trees), "--first", str(first))
+    return bench_pair.call_in(ROOT, __file__, "costs", trees, first)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", help="git revision of the parent")
+    ap.add_argument("--parent", required=True, help="git revision of the parent")
     ap.add_argument("--change", help="git revision of the change (default: the working tree)")
     ap.add_argument("--rounds", type=int, default=10)
     ap.add_argument("--out", help="output file (default: BENCH_layers.json)")
-    ap.add_argument("--costs-of", help=argparse.SUPPRESS)
-    ap.add_argument("--first", type=int, default=0, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.costs_of:
-        print(json.dumps(costs(json.loads(args.costs_of), args.first)))
-        return 0
-    if not args.parent:
-        ap.error("--parent is required")
 
     rows, environment = [], None
-    with tempfile.TemporaryDirectory(prefix="layer_costs_") as tmp:
-        trees = bench_pair._trees(tmp, args.parent, args.change)
+    with bench_pair.trees(args.parent, args.change) as trees:
         for k in range(args.rounds):
             got = _costs_in(trees, k % 2)
             environment = environment or got["environment"]
@@ -223,8 +206,8 @@ def main(argv=None) -> int:
                 for layer in LAYERS for n in got["costs"]["parent"][layer]), file=sys.stderr)  # fmt: skip
 
     report = {
-        "parent": bench_pair._git("rev-parse", "--short", args.parent),
-        "change": bench_pair._git("rev-parse", "--short", args.change) if args.change else "working tree",
+        "parent": bench_pair.revision(args.parent),
+        "change": bench_pair.revision(args.change),
         "protocol": {
             "script": "python3 scripts/layer_costs.py " + " ".join(argv if argv is not None else sys.argv[1:]),
             "specs": "Hermite, Laguerre(0.5) and Jacobi(0.3, 1.2), from their oracle zeros; "

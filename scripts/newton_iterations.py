@@ -2,35 +2,31 @@
 
     python3 scripts/newton_iterations.py --parent HEAD~1 [--seeds 1-10]
 
-Run from the root of a checkout; the change is its working tree.  The
-parent revision is exported with ``git archive`` into a temporary
-directory, which is removed afterwards.  In each tree a fresh process
-imports that tree's ``bench/workloads.py``, ``tests/test_cross_route.py``
-and ``src/zeroflow`` and counts the calls to ``np.linalg.solve`` in each
-case, one per Newton iteration.  The cases are pass 0 of the ``newton``
-workload for every seed, and every spec of ``MAPPED_SPECS`` at n = 13 and
-20 from the equispaced and from the seeded start (seed 1), solved to 1e-10
-as the cross-route test solves them.  The script prints the total
-iterations on each side for the ``newton`` cases and for the mapped ones,
-every case that raises on either side, and every case that takes more
-iterations in the working tree than in the parent (see ``compare``).  It
-exits 0; it only reads ``bench/`` and ``tests/``.
+Run from the root of a checkout; the trees and the fresh process per tree
+are ``bench_pair``'s.  In each tree the process imports that tree's
+``bench/workloads.py``, ``tests/conftest.py`` and ``src/zeroflow`` and
+counts the calls to ``np.linalg.solve`` in each case, one per Newton
+iteration.  The cases are pass 0 of the ``newton`` workload for every
+seed, and every spec of ``MAPPED_SPECS`` at n = 13 and 20 from the
+equispaced and from the seeded start (seed 1), solved to 1e-10 as the
+cross-route test solves them.  The script prints the total iterations on
+each side for the ``newton`` cases and for the mapped ones, every case that
+raises on either side, and every case that takes more iterations in the
+working tree than in the parent (see ``compare``).  It exits 0; it only
+reads ``bench/`` and ``tests/``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_pair  # noqa: E402
 
-ROOT = bench_pair.ROOT
 
 
 def counts(tree: str, seeds: list[int]) -> list[list]:
@@ -38,16 +34,16 @@ def counts(tree: str, seeds: list[int]) -> list[list]:
     ``tree``: "newton" or "mapped", the solves the case made, and the name
     of the exception it raised or None."""
     sys.path[:0] = [os.path.join(tree, d) for d in ("bench", "src", "tests")]
-    import test_cross_route
     import workloads
     import zeroflow as zf
+    from conftest import MAPPED_SPECS
 
     cases = []
     for seed in seeds:
         for k, case in enumerate(workloads.WORKLOADS["newton"](seed).cases_for_pass(0)):
             label = f"newton seed {seed} case {k} ({case.fam.kind} n={case.n})"
             cases.append(("newton", label, case.call))
-    for name, spec in test_cross_route.MAPPED_SPECS:
+    for name, spec in MAPPED_SPECS:
         for n in (13, 20):
             for how, start in (("equispaced", zf.default_init(spec, n)),
                                ("seeded", zf.default_init(spec, n, "seeded", seed=1))):  # fmt: skip
@@ -90,28 +86,18 @@ def compare(parent: list[list], change: list[list]) -> dict:
     }
 
 
-def _counts_in(tree: str, seeds: str) -> list[list]:
-    return bench_pair.last_json(__file__, "--counts-of", tree, "--seeds", seeds, cwd=tree)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", help="git revision of the parent")
+    ap.add_argument("--parent", required=True, help="git revision of the parent")
     ap.add_argument("--seeds", default="1-10", help="'1,3' or '1-10'")
-    ap.add_argument("--counts-of", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.counts_of:
-        print(json.dumps(counts(args.counts_of, bench_pair._seeds(args.seeds))))
-        return 0
-    if not args.parent:
-        ap.error("--parent is required")
+    seeds = bench_pair._seeds(args.seeds)
 
-    with tempfile.TemporaryDirectory(prefix="newton_iterations_") as tmp:
-        bench_pair._export(args.parent, tmp)
-        parent = _counts_in(tmp, args.seeds)
-    change = _counts_in(ROOT, args.seeds)
+    with bench_pair.trees(args.parent) as trees:
+        parent, change = (bench_pair.call_in(trees[side], __file__, "counts", trees[side], seeds)
+                          for side in ("parent", "change"))  # fmt: skip
     out = compare(parent, change)
-    rev = bench_pair._git("rev-parse", "--short", args.parent)
+    rev = bench_pair.revision(args.parent)
     print(f"Newton iterations, parent {rev} against the working tree (seeds {args.seeds})")
     for group, (cases, before, after) in out["totals"].items():
         print(f"  {group}: {before} -> {after} ({after / before - 1.0:+.1%}) over {cases} cases")

@@ -3,35 +3,31 @@ revision and the working tree.
 
     python3 scripts/same_results.py --parent HEAD~1 [--seeds 1,3]
 
-Run from the root of a checkout; the change is its working tree.  The
-parent revision is exported with ``git archive`` into a temporary
-directory, which is removed afterwards.  In each tree a fresh process
-imports that tree's ``bench/workloads.py`` and ``src/zeroflow``, runs every
-case of pass 0 of every workload for every seed, and reduces each answer to
-bytes (see ``result_bytes``) and to its numbers (see ``result_values``).
-When some bytes differ, the script prints the first (workload, seed, case)
-that differs, then for each workload how many cases differ and the largest
-move of a number in units of eps * max(1, |x|) (see ``largest_moves``), and
-exits 1.  Otherwise it prints that every case is identical and exits 0.  It
-only reads ``bench/``.
+Run from the root of a checkout; the trees and the fresh process per tree
+are ``bench_pair``'s.  In each tree the process imports that tree's
+``bench/workloads.py`` and ``src/zeroflow``, runs every case of pass 0 of
+every workload for every seed, and reduces each answer to bytes (see
+``result_bytes``) and to its numbers (see ``result_values``).  When some
+bytes differ, the script prints the first (workload, seed, case) that
+differs, then for each workload how many cases differ and the largest move
+of a number in units of eps * max(1, |x|) (see ``largest_moves``), and
+exits 1.  Otherwise it prints that every case is identical and exits 0.
+It only reads ``bench/``.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_pair  # noqa: E402
 
-ROOT = bench_pair.ROOT
 EPS = float(np.finfo(float).eps)
 
 
@@ -136,27 +132,16 @@ def largest_moves(parent: list[list], change: list[list]) -> dict[str, tuple]:
     return {w: row for w, row in out.items() if row[0]}
 
 
-def _digests_in(tree: str, seeds: str) -> list[list]:
-    return bench_pair.last_json(__file__, "--digests-of", tree, "--seeds", seeds, cwd=tree)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", help="git revision of the parent")
+    ap.add_argument("--parent", required=True, help="git revision of the parent")
     ap.add_argument("--seeds", default="1,3", help="'1,3' or '1-10'")
-    ap.add_argument("--digests-of", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     seeds = bench_pair._seeds(args.seeds)
-    if args.digests_of:
-        print(json.dumps(digests(args.digests_of, seeds)))
-        return 0
-    if not args.parent:
-        ap.error("--parent is required")
 
-    with tempfile.TemporaryDirectory(prefix="same_results_") as tmp:
-        bench_pair._export(args.parent, tmp)
-        parent = _digests_in(tmp, args.seeds)
-    change = _digests_in(ROOT, args.seeds)
+    with bench_pair.trees(args.parent) as trees:
+        parent, change = (bench_pair.call_in(trees[side], __file__, "digests", trees[side], seeds)
+                          for side in ("parent", "change"))  # fmt: skip
     diff = first_difference(parent, change)
     if diff is not None:
         workload, seed, case = diff
@@ -166,7 +151,7 @@ def main(argv=None) -> int:
                   f"{worst:.3g} eps*max(1,|x|) at seed {seed}, case {case}")  # fmt: skip
         return 1
     print(f"identical: {len(parent)} cases of pass 0 ({', '.join(sorted({r[0] for r in parent}))}; "
-          f"seeds {args.seeds}) against {bench_pair._git('rev-parse', '--short', args.parent)}")  # fmt: skip
+          f"seeds {args.seeds}) against {bench_pair.revision(args.parent)}")  # fmt: skip
     return 0
 
 
